@@ -1,25 +1,19 @@
 //! **campaignperf** — the E16/E19 engine differential: the bit-parallel
 //! batched campaign engine timed three-way against the scalar checkpointed
 //! work-stealing engine and the pre-checkpoint reference engine on the same
-//! plan sets, plus the entailment-cache hit rate over the suite checker
-//! workload.
+//! plan sets.
 //!
-//! Two phases, each preceded by a registry reset so its numbers are
-//! attributable:
-//!
-//! 1. **checker** — compile every Tiny-scale kernel and `check_program` its
-//!    protected binary with the entailment cache enabled; report
-//!    `logic.cache.hit` / `logic.cache.miss` and the derived hit rate;
-//! 2. **campaign** — per kernel, build the k=1 plan set once, then run
-//!    [`run_plan_campaign_reference`], [`run_plan_campaign_scalar`] and
-//!    [`run_plan_campaign_batched`] on it with the same pinned thread
-//!    count. All three reports must be bit-identical and SDC must be zero
-//!    (Theorem 4); the row records each engine's wall time and plans/sec,
-//!    and the document carries per-engine verdict totals so `--check` can
-//!    re-prove the agreement offline. The `batch` object breaks demotions
-//!    down by cause (the `faultsim.batch.demote.*` counters) and records
-//!    the multi-strike lane count, so the residual scalar work is
-//!    attributable from the report alone.
+//! Per Tiny-scale kernel, compile the protected binary, build the k=1 plan
+//! set once, then run [`run_plan_campaign_reference`],
+//! [`run_plan_campaign_scalar`] and [`run_plan_campaign_batched`] on it
+//! with the same pinned thread count. All three reports must be
+//! bit-identical and SDC must be zero (Theorem 4); the row records each
+//! engine's wall time and plans/sec, and the document carries per-engine
+//! verdict totals so `--check` can re-prove the agreement offline. The
+//! `batch` object breaks demotions down by cause (the
+//! `faultsim.batch.demote.*` counters) and records the multi-strike lane
+//! count, so the residual scalar work is attributable from the report
+//! alone. The `host` block records nproc and the pinned thread count.
 //!
 //! Usage: `cargo run --release -p talft-bench --bin campaignperf
 //!          [--json <path>] [--check <path>] [--threads N] [--stride N]
@@ -31,7 +25,7 @@
 //! `--checkpoint-stride` defaults to 0 (engine auto). `--check <path>`
 //! parses an existing report with the dep-free [`talft_obs::Json`] parser
 //! and gates on the *count* invariants — nonzero checkpoint reuse, nonzero
-//! cache hits, nonzero batched lanes, a per-cause demotion breakdown that
+//! batched lanes, a per-cause demotion breakdown that
 //! sums to the demotion total, a demoted-lane fraction of at most 2%, zero
 //! SDC, and field-by-field equality of the per-engine verdict totals —
 //! never on timings, which vary by machine.
@@ -40,7 +34,6 @@ use std::time::Instant;
 
 use talft_bench::report::{self, campaign_json, Report};
 use talft_compiler::{compile, CompileOptions};
-use talft_core::check_program;
 use talft_faultsim::{
     golden_run, run_plan_campaign_batched, run_plan_campaign_reference, run_plan_campaign_scalar,
     single_fault_plans, CampaignConfig, CampaignReport,
@@ -48,13 +41,16 @@ use talft_faultsim::{
 use talft_obs::Json;
 use talft_suite::{kernels, Scale};
 
-/// Required top-level keys of a `talft.campaignperf.v3` document.
+/// Schema tag of the document this bin writes and `--check` accepts.
+const SCHEMA: &str = "talft.campaignperf.v4";
+
+/// Required top-level keys of a `talft.campaignperf.v4` document.
 const REQUIRED: &[&str] = &[
     "schema",
+    "host",
     "threads",
     "stride",
     "checkpoint_stride",
-    "cache",
     "rows",
     "totals",
     "checkpoints",
@@ -131,11 +127,8 @@ fn main() {
     let path = report::json_path().unwrap_or_else(|| "BENCH_campaign.json".into());
 
     talft_obs::set_enabled(true);
-    talft_logic::set_entail_cache(true);
     let ks = kernels(Scale::Tiny);
 
-    // Phase 1: checker with the entailment cache on. Compile outside the
-    // measured region; check inside.
     let mut compiled = Vec::new();
     for k in &ks {
         match compile(&k.source, &CompileOptions::default()) {
@@ -146,19 +139,8 @@ fn main() {
             }
         }
     }
-    talft_obs::reset_all();
-    for (name, c) in &mut compiled {
-        if let Err(e) = check_program(&c.protected.program, &mut c.protected.arena) {
-            eprintln!("error: {name} failed the checker: {e}");
-            std::process::exit(1);
-        }
-    }
-    let checker = talft_obs::snapshot();
-    let cache_hits = counter(&checker, "logic.cache.hit");
-    let cache_misses = counter(&checker, "logic.cache.miss");
-    let hit_rate = rate(cache_hits, cache_misses);
 
-    // Phase 2: campaign differential, threads pinned.
+    // Campaign differential, threads pinned.
     let cfg = CampaignConfig {
         stride,
         mutations_per_site: 2,
@@ -239,19 +221,12 @@ fn main() {
     }
     let campaign = talft_obs::snapshot();
 
-    let json = Report::new("talft.campaignperf.v3")
+    let json = Report::new(SCHEMA)
+        .field("host", report::host_json(threads))
         .field("threads", Json::U64(threads as u64))
         .field("stride", Json::U64(stride))
         .field("checkpoint_stride", Json::U64(checkpoint_stride))
         .field("kernels", Json::U64(ks.len() as u64))
-        .field(
-            "cache",
-            Json::obj([
-                ("hits", Json::U64(cache_hits)),
-                ("misses", Json::U64(cache_misses)),
-                ("hit_rate", Json::F64(hit_rate)),
-            ]),
-        )
         .field("rows", Json::Array(rows))
         .field(
             "totals",
@@ -339,11 +314,9 @@ fn main() {
     report::write_json(&json, &path);
 
     eprintln!(
-        "totals: {tot_plans} plans, engine speedup {:.2}x, batched {:.2}x over engine, \
-         cache hit rate {:.1}%",
+        "totals: {tot_plans} plans, engine speedup {:.2}x, batched {:.2}x over engine",
         ratio(tot_ref_ns, tot_eng_ns),
         ratio(tot_eng_ns, tot_bat_ns),
-        hit_rate * 100.0
     );
 }
 
@@ -371,14 +344,6 @@ fn ratio(a: u64, b: u64) -> f64 {
     }
 }
 
-fn rate(hits: u64, misses: u64) -> f64 {
-    if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    }
-}
-
 /// Validate an existing report: parse, check the schema contract, then gate
 /// on the machine-independent count invariants. Exit 0 on success.
 fn check_existing(path: &str) {
@@ -402,7 +367,7 @@ fn check_existing(path: &str) {
             std::process::exit(1);
         }
     }
-    if json.get("schema").and_then(Json::as_str) != Some("talft.campaignperf.v3") {
+    if json.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         eprintln!("campaignperf: {path} has an unexpected schema tag");
         std::process::exit(1);
     }
@@ -419,9 +384,6 @@ fn check_existing(path: &str) {
     // Count invariants — machine-independent, unlike the timings.
     if u64_at(&json, "checkpoints", "seeks") == 0 {
         fail("checkpoint ring was never used (checkpoints.seeks == 0)");
-    }
-    if u64_at(&json, "cache", "hits") == 0 {
-        fail("entailment cache recorded zero hits");
     }
     if u64_at(&json, "batch", "lanes") == 0 {
         fail("batched engine never packed a lane (batch.lanes == 0)");
@@ -512,5 +474,5 @@ fn check_existing(path: &str) {
     {
         fail("protected-suite totals report nonzero SDC");
     }
-    println!("campaignperf: {path} OK (schema talft.campaignperf.v3, engines agree)");
+    println!("campaignperf: {path} OK (schema {SCHEMA}, engines agree)");
 }

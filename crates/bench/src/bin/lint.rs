@@ -17,14 +17,12 @@
 //! unprotected baseline, next to the grid evidence.
 //!
 //! Usage: `cargo run --release -p talft-bench --bin lint
-//!          [-- --stride N] [--json <path>] [--check <path>]
-//!          [--solver-cache <path>]`
+//!          [-- --stride N] [--json <path>] [--check <path>]`
 //!
 //! `--stride N` (default 1 = exhaustive grid) samples every Nth step;
 //! `TALFT_STRIDE_SCALE` scales it as everywhere else. `--check <path>`
 //! re-validates an existing report with the dep-free JSON parser and gates
-//! on the same count invariants — never on timings. `--solver-cache <path>`
-//! loads/saves the persistent entailment-verdict cache around the sweep.
+//! on the same count invariants — never on timings.
 
 use std::sync::Arc;
 
@@ -56,11 +54,6 @@ fn main() {
     if let Some(path) = report::arg_str("--check") {
         check_existing(&path);
         return;
-    }
-    let pcache = report::arg_str("--solver-cache");
-    if let Some(p) = &pcache {
-        let n = talft_logic::load_solver_cache(p);
-        println!("# solver cache: loaded {n} entries from {p}");
     }
     let stride = report::arg("--stride").unwrap_or(1);
     let cfg = CampaignConfig {
@@ -184,21 +177,6 @@ fn main() {
             .field("totals", totals_json.clone())
             .build()
     });
-
-    // All solver work is done; persist before the gate checks can exit.
-    if pcache.is_some() {
-        match talft_logic::save_solver_cache() {
-            Ok(Some(p)) => {
-                let (h, m, entries) = talft_logic::solver_cache_stats().unwrap_or((0, 0, 0));
-                println!(
-                    "# solver cache: saved {entries} entries to {} ({h} hits / {m} misses this run)",
-                    p.display()
-                );
-            }
-            Ok(None) => {}
-            Err(e) => eprintln!("warning: cannot save solver cache: {e}"),
-        }
-    }
 
     if failed {
         println!("RESULT: STATIC ANALYSIS CONTRADICTED — see messages above.");

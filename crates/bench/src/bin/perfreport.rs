@@ -8,9 +8,9 @@
 //!
 //! 1. **checker** — compile every Tiny-scale kernel and `check_program` its
 //!    protected binary (per-pass spans, rule-hit counters, solver counters);
-//! 2. **checkperf** — the E21 solver matrix: re-check every kernel under
-//!    interval pre-solver {off, on} × persistent cache {cold, warm} and
-//!    record wall time plus the interval/FM/pcache counters;
+//! 2. **checkperf** — the E21 solver table: re-check every kernel with the
+//!    interval pre-solver off (the Fourier–Motzkin reference path)
+//!    and on, and record wall time plus the interval/FM counters;
 //! 3. **machine** — run each protected binary to completion (steps, queue
 //!    high-water mark);
 //! 4. **campaign** — a strided k=1 campaign per kernel with `threads: 1`
@@ -23,12 +23,11 @@
 //! `--json` defaults to `BENCH_perf.json`. `--check <path>` instead parses
 //! an existing report with the dep-free [`talft_obs::Json`] parser and
 //! verifies the schema tag and required sections — the CI smoke gate. For
-//! the checkperf matrix it also gates on the machine-independent solver
+//! the checkperf table it also gates on the machine-independent solver
 //! invariants: every row must satisfy `interval hit + miss == queries`
-//! (no silent bypass of the counter discipline), the interval-off rows
-//! must report zero interval queries, and within each interval mode the
-//! warm-cache row must run **no more** Fourier–Motzkin eliminations than
-//! its cold counterpart.
+//! (no silent bypass of the counter discipline), the interval-off row must
+//! report zero interval queries, and no row may record a Fourier–Motzkin
+//! give-up. The `host` block records nproc and the pinned thread count.
 
 use std::time::Instant;
 
@@ -40,9 +39,13 @@ use talft_machine::run_program;
 use talft_obs::Json;
 use talft_suite::{kernels, Scale};
 
-/// Required top-level keys of a `talft.perfreport.v1` document.
+/// Schema tag of the document this bin writes and `--check` accepts.
+const SCHEMA: &str = "talft.perfreport.v2";
+
+/// Required top-level keys of a `talft.perfreport.v2` document.
 const REQUIRED: &[&str] = &[
     "schema",
+    "host",
     "stride",
     "kernels",
     "checker",
@@ -84,73 +87,47 @@ fn main() {
     let checker_wall = t0.elapsed();
     let checker = talft_obs::snapshot();
 
-    // Phase 2: checkperf — the E21 matrix. Each cell re-checks every
-    // kernel; the cold run of each interval mode starts from an absent
-    // cache file and saves, the warm run reloads what cold wrote. The
-    // interval layer is verdict-transparent, so all four cells must check
-    // identically — only the timings and counters may differ.
-    let ambient_interval = talft_logic::entail_interval_enabled();
+    // Phase 2: checkperf — the E21 solver table. Each row re-checks every
+    // kernel, first on the Fourier–Motzkin reference path (interval off),
+    // then on the production pipeline. The interval layer is
+    // verdict-transparent, so both rows must check identically — only the
+    // timings and counters may differ.
     let mut checkperf_rows = Vec::new();
     for interval in [false, true] {
         let mode = if interval { "on" } else { "off" };
-        let cache_path = std::env::temp_dir().join(format!(
-            "talft-checkperf-{}-{mode}.solvercache",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&cache_path);
-        for run in ["cold", "warm"] {
-            talft_logic::set_entail_interval(interval);
-            talft_logic::clear_solver_cache();
-            let loaded = talft_logic::load_solver_cache(&cache_path);
-            talft_obs::reset_all();
-            let t0 = Instant::now();
-            for (name, c) in &mut compiled {
-                if let Err(e) = check_program(&c.protected.program, &mut c.protected.arena) {
-                    eprintln!("error: {name} failed the checker (interval {mode}, {run}): {e}");
-                    std::process::exit(1);
-                }
+        talft_logic::set_entail_interval(interval);
+        talft_obs::reset_all();
+        let t0 = Instant::now();
+        for (name, c) in &mut compiled {
+            if let Err(e) = check_program(&c.protected.program, &mut c.protected.arena) {
+                eprintln!("error: {name} failed the checker (interval {mode}): {e}");
+                std::process::exit(1);
             }
-            let wall = t0.elapsed();
-            let snap = talft_obs::snapshot();
-            let n = |key: &str| snap.counters.get(key).copied().unwrap_or(0);
-            if run == "cold" {
-                if let Err(e) = talft_logic::save_solver_cache() {
-                    eprintln!("error: cannot save checkperf solver cache: {e}");
-                    std::process::exit(1);
-                }
-            }
-            let (fm_runs, iq, ih, im) = (
-                n("logic.fm.runs"),
-                n("logic.interval.queries"),
-                n("logic.interval.hit"),
-                n("logic.interval.miss"),
-            );
-            eprintln!(
-                "checkperf: interval {mode:>3} / pcache {run:>4}: {:>9} ns, \
-                 fm {fm_runs}, interval {ih}/{iq}, pcache {}/{}",
-                ns(wall),
-                n("logic.pcache.hit"),
-                n("logic.pcache.hit") + n("logic.pcache.miss"),
-            );
-            checkperf_rows.push(Json::obj([
-                ("interval", Json::str(mode)),
-                ("pcache", Json::str(run)),
-                ("wall_ns", Json::U64(ns(wall))),
-                ("loaded", Json::U64(loaded as u64)),
-                ("fm_runs", Json::U64(fm_runs)),
-                ("fm_giveups", Json::U64(n("logic.fm.giveups"))),
-                ("interval_queries", Json::U64(iq)),
-                ("interval_hit", Json::U64(ih)),
-                ("interval_miss", Json::U64(im)),
-                ("interval_narrowed", Json::U64(n("logic.interval.narrowed"))),
-                ("pcache_hit", Json::U64(n("logic.pcache.hit"))),
-                ("pcache_miss", Json::U64(n("logic.pcache.miss"))),
-            ]));
         }
-        let _ = std::fs::remove_file(&cache_path);
+        let wall = t0.elapsed();
+        let snap = talft_obs::snapshot();
+        let n = |key: &str| snap.counters.get(key).copied().unwrap_or(0);
+        let (fm_runs, iq, ih, im) = (
+            n("logic.fm.runs"),
+            n("logic.interval.queries"),
+            n("logic.interval.hit"),
+            n("logic.interval.miss"),
+        );
+        eprintln!(
+            "checkperf: interval {mode:>3}: {:>9} ns, fm {fm_runs}, interval {ih}/{iq}",
+            ns(wall),
+        );
+        checkperf_rows.push(Json::obj([
+            ("interval", Json::str(mode)),
+            ("wall_ns", Json::U64(ns(wall))),
+            ("fm_runs", Json::U64(fm_runs)),
+            ("fm_giveups", Json::U64(n("logic.fm.giveups"))),
+            ("interval_queries", Json::U64(iq)),
+            ("interval_hit", Json::U64(ih)),
+            ("interval_miss", Json::U64(im)),
+            ("interval_narrowed", Json::U64(n("logic.interval.narrowed"))),
+        ]));
     }
-    talft_logic::clear_solver_cache();
-    talft_logic::set_entail_interval(ambient_interval);
 
     // Phase 3: machine.
     talft_obs::reset_all();
@@ -188,7 +165,8 @@ fn main() {
     let campaign_wall = t0.elapsed();
     let campaign = talft_obs::snapshot();
 
-    let json = Report::new("talft.perfreport.v1")
+    let json = Report::new(SCHEMA)
+        .field("host", report::host_json(1))
         .field("stride", Json::U64(stride))
         .field("kernels", Json::U64(ks.len() as u64))
         .field(
@@ -250,7 +228,7 @@ fn check_existing(path: &str) {
             std::process::exit(1);
         }
     }
-    if json.get("schema").and_then(Json::as_str) != Some("talft.perfreport.v1") {
+    if json.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         eprintln!("perfreport: {path} has an unexpected schema tag");
         std::process::exit(1);
     }
@@ -265,10 +243,10 @@ fn check_existing(path: &str) {
         }
     }
     check_checkperf(path, &json);
-    println!("perfreport: {path} OK (schema talft.perfreport.v1)");
+    println!("perfreport: {path} OK (schema {SCHEMA})");
 }
 
-/// Gate the checkperf matrix on its machine-independent solver invariants.
+/// Gate the checkperf table on its machine-independent solver invariants.
 fn check_checkperf(path: &str, json: &Json) {
     let fail = |msg: &str| -> ! {
         eprintln!("perfreport: {path}: checkperf: {msg}");
@@ -277,47 +255,31 @@ fn check_checkperf(path: &str, json: &Json) {
     let Some(Json::Array(rows)) = json.get("checkperf").and_then(|c| c.get("rows")) else {
         fail("rows is not an array");
     };
-    if rows.len() != 4 {
-        fail(&format!("expected 4 matrix rows, found {}", rows.len()));
+    let modes: Vec<&str> = rows
+        .iter()
+        .map(|row| row.get("interval").and_then(Json::as_str).unwrap_or("?"))
+        .collect();
+    if modes != ["off", "on"] {
+        fail(&format!(
+            "expected rows for interval off and on, found {modes:?}"
+        ));
     }
-    // (interval mode, pcache run) → fm_runs, for the cold-vs-warm gate.
-    let mut fm: Vec<(String, String, u64)> = Vec::new();
-    for row in rows {
-        let s = |key: &str| -> String {
-            match row.get(key).and_then(Json::as_str) {
-                Some(v) => v.to_string(),
-                None => fail(&format!("a row is missing {key:?}")),
-            }
-        };
+    for (row, mode) in rows.iter().zip(modes) {
         let n = |key: &str| -> u64 {
             match row.get(key).and_then(Json::as_u64) {
                 Some(v) => v,
-                None => fail(&format!("a row is missing {key:?}")),
+                None => fail(&format!("interval {mode}: row is missing {key:?}")),
             }
         };
-        let (mode, run) = (s("interval"), s("pcache"));
-        let cell = format!("interval {mode} / pcache {run}");
         if n("interval_hit") + n("interval_miss") != n("interval_queries") {
-            fail(&format!("{cell}: interval hit+miss != queries"));
+            fail(&format!("interval {mode}: interval hit+miss != queries"));
         }
         if mode == "off" && n("interval_queries") != 0 {
-            fail(&format!("{cell}: interval layer consulted while off"));
+            fail("interval off: interval layer consulted while off");
         }
         if n("fm_giveups") != 0 {
-            fail(&format!("{cell}: nonzero Fourier–Motzkin give-ups"));
-        }
-        fm.push((mode, run, n("fm_runs")));
-    }
-    for mode in ["off", "on"] {
-        let runs_of = |which: &str| {
-            fm.iter()
-                .find(|(m, r, _)| m == mode && r == which)
-                .map(|&(_, _, v)| v)
-                .unwrap_or_else(|| fail(&format!("missing row interval {mode} / pcache {which}")))
-        };
-        if runs_of("warm") > runs_of("cold") {
             fail(&format!(
-                "interval {mode}: warm cache ran more FM eliminations than cold"
+                "interval {mode}: nonzero Fourier–Motzkin give-ups"
             ));
         }
     }

@@ -95,6 +95,18 @@ impl Report {
     }
 }
 
+/// The host block of a timing report: the logical CPUs the OS reports and
+/// the worker threads the run pinned. Timings are comparable only between
+/// reports with equal host blocks.
+#[must_use]
+pub fn host_json(threads: usize) -> Json {
+    let nproc = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
+    Json::obj([
+        ("nproc", Json::U64(nproc as u64)),
+        ("threads", Json::U64(threads as u64)),
+    ])
+}
+
 /// A [`CampaignReport`] as JSON (shared by the coverage / multifault /
 /// perfreport schemas).
 #[must_use]

@@ -8,13 +8,21 @@
 //!   4 lint error / 5 Theorem 4 violation / 6 campaign interrupted
 //! ```
 //!
+//! A seeded mutation fuzz pins the robustness contract: no malformed input
+//! may panic, and every exit is one of the documented codes.
+//!
 //! The `--shards` tests additionally assert the cross-process sharded
 //! campaign contract: shard reports merge to the same summary line as a
 //! plain whole-grid run, and an interrupted shard (SIGTERM mid-grid)
 //! exits 6 with a durable checkpoint that `--resume` continues from.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::io::Read;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
+
+use talft_suite::{kernels, Scale};
+use talft_testutil::SplitMix64;
 
 fn talftc(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_talftc"))
@@ -58,6 +66,27 @@ fn exit_0_on_well_typed_program() {
 fn exit_1_on_usage_error() {
     let out = talftc(&["--run"]); // no input file
     assert_eq!(out.status.code(), Some(1), "{out:?}");
+    // Unknown flags and unparsable values are rejected with the usage line
+    // before any work runs — never silently ignored or defaulted.
+    let p = write_temp("usage.wile", OK_WILE);
+    for bad in [
+        "--bogus",
+        "--threads=abc",
+        "--campaign=x",
+        "--solver-cache=/tmp/x",
+        "--run=1",
+        "--json=",
+        "extra-positional",
+    ] {
+        let out = talftc(&[p.to_str().unwrap(), bad]);
+        assert_eq!(out.status.code(), Some(1), "{bad}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: talftc"), "{bad}: {stderr}");
+        assert!(
+            !stderr.contains("type check OK"),
+            "{bad} ran anyway: {stderr}"
+        );
+    }
 }
 
 #[test]
@@ -336,5 +365,123 @@ fn exit_5_on_theorem_4_violation() {
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("THEOREM 4 VIOLATION"),
         "{out:?}"
+    );
+}
+
+/// Apply one random structural mutation to `src`: flip 1–3 random bits,
+/// truncate at a random byte, or delete or duplicate a random line.
+fn mutate(rng: &mut SplitMix64, src: &[u8]) -> Vec<u8> {
+    let mut out = src.to_vec();
+    match rng.below(4) {
+        0 => {
+            for _ in 0..=rng.below(3) {
+                let i = rng.index(out.len());
+                out[i] ^= 1 << rng.below(8);
+            }
+        }
+        1 => out.truncate(rng.index(out.len())),
+        op => {
+            let lines: Vec<&[u8]> = src.split_inclusive(|&b| b == b'\n').collect();
+            let at = rng.index(lines.len());
+            out.clear();
+            for (i, line) in lines.iter().enumerate() {
+                if i != at || op == 3 {
+                    out.extend_from_slice(line);
+                }
+                if i == at && op == 3 {
+                    out.extend_from_slice(line);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Run `talftc` with a wall-clock deadline so a hang fails the test
+/// instead of stalling it.
+fn talftc_bounded(args: &[&str], deadline: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_talftc"))
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("talftc runs");
+    let mut stderr = child.stderr.take().expect("piped stderr");
+    let reader = std::thread::spawn(move || {
+        let mut buf = Vec::new();
+        stderr.read_to_end(&mut buf).map(|_| buf)
+    });
+    let start = Instant::now();
+    while child.try_wait().expect("wait on talftc").is_none() {
+        if start.elapsed() > deadline {
+            let _ = child.kill();
+            panic!("talftc {args:?} exceeded {deadline:?}");
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let status = child.wait().expect("wait on talftc");
+    let stderr = reader.join().expect("reader thread").expect("read stderr");
+    Output {
+        status,
+        stdout: Vec::new(),
+        stderr,
+    }
+}
+
+/// No malformed input may panic: a seeded, deterministic mutation fuzz over
+/// the `.talft` examples and a few suite Wile kernels. Every mutant goes
+/// through `talftc` with default flags and with `--lint`; each run must
+/// exit with a documented code (0–6) and never print a panic message.
+#[test]
+fn mutated_inputs_exit_with_documented_codes_and_never_panic() {
+    const INPUTS: usize = 520;
+    let asm_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/asm");
+    let mut seeds: Vec<(String, Vec<u8>)> = std::fs::read_dir(&asm_dir)
+        .expect("examples/asm exists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "talft"))
+        .map(|p| ("talft".to_owned(), std::fs::read(&p).expect("read example")))
+        .collect();
+    assert!(
+        seeds.len() >= 3,
+        "expected the .talft examples in {asm_dir:?}"
+    );
+    let mut wile = kernels(Scale::Tiny);
+    wile.sort_by_key(|k| k.source.len());
+    seeds.extend(
+        wile.iter()
+            .take(3)
+            .map(|k| ("wile".to_owned(), k.source.clone().into_bytes())),
+    );
+    seeds.sort();
+
+    let dir = fresh_dir("fuzz");
+    std::fs::create_dir_all(&dir).expect("fuzz dir");
+    let mut rng = SplitMix64::new(0x7A1F_7C0F_F022);
+    let mut codes = [0usize; 7];
+    for i in 0..INPUTS {
+        let (ext, src) = &seeds[i % seeds.len()];
+        let path = dir.join(format!("m{i}.{ext}"));
+        std::fs::write(&path, mutate(&mut rng, src)).expect("write mutant");
+        let path = path.to_str().expect("utf-8 temp path");
+        for args in [vec![path], vec![path, "--lint"]] {
+            let out = talftc_bounded(&args, Duration::from_secs(60));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                !stderr.contains("panicked"),
+                "talftc {args:?} panicked:\n{stderr}"
+            );
+            match out.status.code() {
+                Some(c @ 0..=6) => codes[c as usize] += 1,
+                other => panic!("talftc {args:?} exited with {other:?}:\n{stderr}"),
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    // Some mutants must reach the checker, or the fuzz only tests the
+    // parsers.
+    assert!(
+        codes[0] > 0 && codes[2] > 0 && codes[3] > 0,
+        "exit-code spread {codes:?}"
     );
 }

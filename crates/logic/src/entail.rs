@@ -18,11 +18,9 @@
 //! checked program.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use talft_obs::LazyCounter;
 
-use crate::cachefile::{self, QueryTag};
 use crate::expr::{BinOp, ExprArena, ExprId, ExprNode};
 use crate::interval::{self, IntervalEnv};
 use crate::norm::{norm_int, Monomial, Poly};
@@ -34,169 +32,6 @@ static Q_NEQ: LazyCounter = LazyCounter::new("logic.query.neq");
 static Q_GE: LazyCounter = LazyCounter::new("logic.query.ge");
 static FM_RUNS: LazyCounter = LazyCounter::new("logic.fm.runs");
 static FM_GIVEUPS: LazyCounter = LazyCounter::new("logic.fm.giveups");
-static Q_REPEATS: LazyCounter = LazyCounter::new("logic.query.repeat_candidates");
-static CACHE_HIT: LazyCounter = LazyCounter::new("logic.cache.hit");
-static CACHE_MISS: LazyCounter = LazyCounter::new("logic.cache.miss");
-static CACHE_EVICT: LazyCounter = LazyCounter::new("logic.cache.evict");
-
-/// Count equality queries whose `(e1, e2)` id pair was seen before — an
-/// estimate of how much a memoizing query cache would save. A fixed-size
-/// direct-mapped table of packed id pairs: collisions overwrite, so the
-/// count is a lower bound, which is the honest direction for a
-/// "candidates" metric.
-///
-/// Overhead policy: both call sites gate on `talft_obs::enabled()` already;
-/// the guard here makes the invariant local, so a future call site cannot
-/// reintroduce an unconditional 4096-slot atomic swap on the disabled path.
-fn note_query_pair(e1: ExprId, e2: ExprId) {
-    if !talft_obs::enabled() {
-        return;
-    }
-    const SLOTS: usize = 4096;
-    static SEEN: [AtomicU64; SLOTS] = [const { AtomicU64::new(0) }; SLOTS];
-    // Pack both ids, +1 so the empty slot value 0 is never a valid key.
-    let key = (u64::from(e1.0) + 1) << 32 | (u64::from(e2.0) + 1);
-    let slot = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52) as usize % SLOTS;
-    if SEEN[slot].swap(key, Ordering::Relaxed) == key {
-        Q_REPEATS.inc();
-    }
-}
-
-// ---- memoizing entailment query cache -------------------------------------
-
-/// Runtime switch for the entailment cache: 0 = unset (consult the
-/// `TALFT_ENTAIL_CACHE` environment variable on first query), 1 = on,
-/// 2 = off.
-static CACHE_MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether equality-query memoization is active. Defaults to **on**; the
-/// `TALFT_ENTAIL_CACHE` environment variable (`0`/`off`/`false` disables)
-/// sets the initial state, and [`set_entail_cache`] overrides it at runtime.
-#[must_use]
-pub fn entail_cache_enabled() -> bool {
-    match CACHE_MODE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = std::env::var("TALFT_ENTAIL_CACHE")
-                .map_or(true, |v| !matches!(v.trim(), "0" | "off" | "false"));
-            CACHE_MODE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Force the entailment cache on or off process-wide (overrides
-/// `TALFT_ENTAIL_CACHE`). The cache is semantically transparent — this knob
-/// exists for differential testing and perf measurement, not correctness.
-pub fn set_entail_cache(on: bool) {
-    CACHE_MODE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Monotone source of [`Facts`] generation tags. Starts at 1 so generation 0
-/// uniquely means "never mutated", i.e. the empty hypothesis set — every
-/// empty `Facts` may soundly share cached verdicts.
-static FACTS_GEN: AtomicU64 = AtomicU64::new(1);
-
-/// Number of direct-mapped cache slots (16 bytes each; allocated lazily on
-/// the first store, so unused arenas pay nothing).
-const CACHE_SLOTS: usize = 8192;
-
-/// Sentinel second key for unary queries (`prove_eq_zero`). Never a real id:
-/// interning that many expressions panics first.
-const CACHE_ZERO: u32 = u32::MAX;
-
-#[derive(Clone, Copy)]
-struct CacheSlot {
-    e1: u32,
-    e2: u32,
-    /// Facts generation the verdict was computed under; `u64::MAX` = empty.
-    generation: u64,
-    verdict: bool,
-}
-
-const EMPTY_SLOT: CacheSlot = CacheSlot {
-    e1: 0,
-    e2: 0,
-    generation: u64::MAX,
-    verdict: false,
-};
-
-/// Fixed-size direct-mapped memo table for equality verdicts, stored per
-/// [`ExprArena`] (queries take `&mut ExprArena`, so access is exclusive and
-/// needs no atomics — and an id-keyed cache must not outlive its arena).
-///
-/// Key: the packed `(e1, e2)` id pair plus the querying [`Facts`] value's
-/// generation tag. Generations are globally unique per mutation, so two
-/// `Facts` with the same tag hold identical hypotheses (clones share tags
-/// soundly; re-deriving the same facts afresh yields a new tag and merely
-/// misses). Verdicts are pure functions of the hypotheses and the immutable
-/// hash-consed expression DAG, so replaying one is always sound. Collisions
-/// overwrite (direct-mapped); a full-key match is required to hit.
-#[derive(Debug, Default)]
-pub(crate) struct EntailCache {
-    slots: Vec<CacheSlot>,
-    hits: u64,
-    misses: u64,
-    /// Live entries overwritten by a colliding key — the direct map's
-    /// conflict rate, observable via `ExprArena::entail_cache_evictions`.
-    evictions: u64,
-}
-
-impl std::fmt::Debug for CacheSlot {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CacheSlot").finish_non_exhaustive()
-    }
-}
-
-impl EntailCache {
-    fn index(e1: u32, e2: u32, generation: u64) -> usize {
-        let key = (u64::from(e1) + 1) << 32 | u64::from(e2).wrapping_add(1);
-        let h = (key ^ generation.rotate_left(32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h >> 51) as usize % CACHE_SLOTS
-    }
-
-    fn lookup(&mut self, e1: u32, e2: u32, generation: u64) -> Option<bool> {
-        let hit = self
-            .slots
-            .get(Self::index(e1, e2, generation))
-            .filter(|s| s.e1 == e1 && s.e2 == e2 && s.generation == generation)
-            .map(|s| s.verdict);
-        if hit.is_some() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
-        }
-        hit
-    }
-
-    fn store(&mut self, e1: u32, e2: u32, generation: u64, verdict: bool) {
-        if self.slots.is_empty() {
-            self.slots = vec![EMPTY_SLOT; CACHE_SLOTS];
-        }
-        let slot = &mut self.slots[Self::index(e1, e2, generation)];
-        if slot.generation != u64::MAX
-            && (slot.e1 != e1 || slot.e2 != e2 || slot.generation != generation)
-        {
-            self.evictions += 1;
-            CACHE_EVICT.inc();
-        }
-        *slot = CacheSlot {
-            e1,
-            e2,
-            generation,
-            verdict,
-        };
-    }
-
-    pub(crate) fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    pub(crate) fn evictions(&self) -> u64 {
-        self.evictions
-    }
-}
 
 /// Caps keeping Fourier–Motzkin elimination cheap; exceeding them makes the
 /// prover give up (sound: "unknown" is treated as "not proved").
@@ -208,7 +43,7 @@ const FM_MAX_VARS: usize = 24;
 pub(crate) type HypViews<'a> = (&'a [(ExprId, Poly)], &'a [Poly], &'a [Poly], &'a [Poly]);
 
 /// A set of path hypotheses: equalities, disequalities, and `≥ 0` facts.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Facts {
     /// `atom = poly`, applied as a substitution by the normalizer.
     solved: Vec<(ExprId, Poly)>,
@@ -218,23 +53,6 @@ pub struct Facts {
     neqs: Vec<Poly>,
     /// `poly ≥ 0`.
     ges: Vec<Poly>,
-    /// Cache-invalidation tag: 0 for the never-mutated (empty) set, else a
-    /// globally unique value minted by [`Facts::touch`] on every mutation.
-    /// Clones share the tag of their source — sound, since they hold the
-    /// same hypotheses until their own next mutation re-tags them.
-    generation: u64,
-}
-
-/// Hypothesis-set equality compares the stored facts only; the cache
-/// generation tag is bookkeeping, not content (two independently built but
-/// identical sets are equal yet carry different tags).
-impl PartialEq for Facts {
-    fn eq(&self, other: &Self) -> bool {
-        self.solved == other.solved
-            && self.eqs == other.eqs
-            && self.neqs == other.neqs
-            && self.ges == other.ges
-    }
 }
 
 impl Facts {
@@ -268,24 +86,10 @@ impl Facts {
         self.len() == 0
     }
 
-    /// The cache-invalidation tag (see the `generation` field). Exposed for
-    /// tests and diagnostics.
-    #[must_use]
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
     /// Read-only views of the hypothesis vectors, in `(solved, eqs, neqs,
-    /// ges)` order — the persistent-cache fingerprint and the witness
-    /// builders read them.
+    /// ges)` order — the witness builders read them.
     pub(crate) fn hyp_views(&self) -> HypViews<'_> {
         (&self.solved, &self.eqs, &self.neqs, &self.ges)
-    }
-
-    /// Re-tag after a mutation so stale cached verdicts cannot be replayed.
-    /// Every actual change to the hypothesis vectors must call this.
-    fn touch(&mut self) {
-        self.generation = FACTS_GEN.fetch_add(1, Ordering::Relaxed);
     }
 
     // ---- assuming ---------------------------------------------------------
@@ -304,7 +108,6 @@ impl Facts {
             // slt(a,b) = 0  ⇒  a ≥ b
             let ge = Poly::from_parts(a).sub(&Poly::from_parts(b));
             self.ges.push(ge);
-            self.touch();
         }
         self.assume_poly_eq_zero(arena, p);
     }
@@ -317,13 +120,11 @@ impl Facts {
             let one = Poly::constant(1);
             let gt = Poly::from_parts(b).sub(&Poly::from_parts(a)).sub(&one);
             self.ges.push(gt);
-            self.touch();
             self.assume_poly_eq_zero(arena, p.sub(&one));
             return;
         }
         if !p.is_zero() {
             self.neqs.push(p);
-            self.touch();
         }
     }
 
@@ -337,7 +138,6 @@ impl Facts {
     pub fn assume_poly_ge0(&mut self, p: Poly) {
         if p.as_constant().is_none_or(|c| c < 0) {
             self.ges.push(p);
-            self.touch();
         }
     }
 
@@ -375,70 +175,22 @@ impl Facts {
         } else {
             self.eqs.push(p);
         }
-        self.touch();
     }
 
     // ---- proving ----------------------------------------------------------
 
     /// Prove `e1 = e2` (the judgment `Δ ⊢ E1 = E2`, sound/incomplete).
-    ///
-    /// Memoized per arena (see `EntailCache`): the verdict is a pure
-    /// function of the hypothesis set (keyed by its generation tag) and the
-    /// two ids' immutable canonical structure, so a repeat query skips
-    /// normalization and Fourier–Motzkin entirely. The query is symmetric;
-    /// the key is id-ordered so both orientations share one slot.
     pub fn prove_eq(&self, arena: &mut ExprArena, e1: ExprId, e2: ExprId) -> bool {
-        if talft_obs::enabled() {
-            Q_EQ.inc();
-            note_query_pair(e1, e2);
-        }
+        Q_EQ.inc();
         if e1 == e2 {
             return true;
         }
-        let (a, b) = if e1.0 <= e2.0 { (e1, e2) } else { (e2, e1) };
-        let caching = entail_cache_enabled();
-        if caching {
-            if let Some(v) = arena.entail_cache.lookup(a.0, b.0, self.generation) {
-                CACHE_HIT.inc();
-                return v;
-            }
-            CACHE_MISS.inc();
-        }
-        let verdict = match self.interval_eq(arena, e1, e2) {
-            Some(v) => v,
-            None => {
-                let p1 = norm_int(arena, self, e1);
-                let p2 = norm_int(arena, self, e2);
-                let d = p1.sub(&p2);
-                self.pcached(arena, QueryTag::Eq, &d, |s| s.poly_provably_zero(&d))
-            }
-        };
-        if caching {
-            arena.entail_cache.store(a.0, b.0, self.generation, verdict);
-        }
-        verdict
-    }
-
-    /// Route a post-normalization query through the persistent cross-run
-    /// cache (tier 3, DESIGN.md §13) when one is loaded. Constant residues
-    /// are never cached — they are cheaper to re-decide than to hash.
-    fn pcached(
-        &self,
-        arena: &ExprArena,
-        tag: QueryTag,
-        d: &Poly,
-        run: impl FnOnce(&Self) -> bool,
-    ) -> bool {
-        if d.as_constant().is_some() || !cachefile::pcache_enabled() {
-            return run(self);
-        }
-        let key = cachefile::query_key(arena, tag, d, self);
-        if let Some(v) = cachefile::pcache_lookup(key) {
+        if let Some(v) = self.interval_eq(arena, e1, e2) {
             return v;
         }
-        let v = run(self);
-        cachefile::pcache_record(key, v);
-        v
+        let p1 = norm_int(arena, self, e1);
+        let p2 = norm_int(arena, self, e2);
+        self.poly_provably_zero(&p1.sub(&p2))
     }
 
     /// Prove a normalized polynomial equals zero under the hypotheses.
@@ -462,9 +214,7 @@ impl Facts {
         }
         let p1 = norm_int(arena, self, e1);
         let p2 = norm_int(arena, self, e2);
-        let d = p1.sub(&p2);
-        let ar: &ExprArena = arena;
-        self.pcached(ar, QueryTag::Neq, &d, |s| s.poly_nonzero_with(ar, &d))
+        self.poly_nonzero_with(arena, &p1.sub(&p2))
     }
 
     /// Prove `e ≠ 0`.
@@ -474,39 +224,18 @@ impl Facts {
             return v;
         }
         let p = norm_int(arena, self, e);
-        let ar: &ExprArena = arena;
-        self.pcached(ar, QueryTag::Neq, &p, |s| s.poly_nonzero_with(ar, &p))
+        self.poly_nonzero_with(arena, &p)
     }
 
-    /// Prove `e = 0`. Memoized like [`Facts::prove_eq`], under the sentinel
-    /// pair `(e, CACHE_ZERO)`.
+    /// Prove `e = 0`.
     pub fn prove_eq_zero(&self, arena: &mut ExprArena, e: ExprId) -> bool {
-        if talft_obs::enabled() {
-            Q_EQ.inc();
-            note_query_pair(e, ExprId(u32::MAX));
-        }
-        let caching = entail_cache_enabled();
-        if caching {
-            if let Some(v) = arena.entail_cache.lookup(e.0, CACHE_ZERO, self.generation) {
-                CACHE_HIT.inc();
-                return v;
-            }
-            CACHE_MISS.inc();
-        }
+        Q_EQ.inc();
         let zero = arena.int(0);
-        let verdict = match self.interval_eq(arena, e, zero) {
-            Some(v) => v,
-            None => {
-                let p = norm_int(arena, self, e);
-                self.pcached(arena, QueryTag::Eq, &p, |s| s.poly_provably_zero(&p))
-            }
-        };
-        if caching {
-            arena
-                .entail_cache
-                .store(e.0, CACHE_ZERO, self.generation, verdict);
+        if let Some(v) = self.interval_eq(arena, e, zero) {
+            return v;
         }
-        verdict
+        let p = norm_int(arena, self, e);
+        self.poly_provably_zero(&p)
     }
 
     /// Prove `e ≥ 0`.
@@ -519,8 +248,7 @@ impl Facts {
         if let Some(c) = p.as_constant() {
             return c >= 0;
         }
-        let ar: &ExprArena = arena;
-        self.pcached(ar, QueryTag::Ge0, &p, |s| s.fm_proves_ge0(Some(ar), &p))
+        self.fm_proves_ge0(Some(arena), &p)
     }
 
     /// Prove `lo ≤ e < hi`.
@@ -731,9 +459,9 @@ impl Facts {
         if cons.len() <= 1 && q.as_constant().is_none() {
             return false; // nothing to refute with
         }
-        // Tier-2 box front (DESIGN.md §13): an exact rational box over the
-        // single-monomial constraints often decides the refutation without
-        // running elimination at all.
+        // Box front (DESIGN.md §13, behind the interval switch): an exact
+        // rational box over the single-monomial constraints often decides
+        // the refutation without running elimination at all.
         if interval::entail_interval_enabled() {
             let (verdict, narrowed) = box_front(&cons, negq_idx, q);
             interval::note_consult(verdict.is_some(), narrowed);
@@ -1157,22 +885,19 @@ fn combine(l: &LinCon, u: &LinCon, wl: i128, wu: i128, var: &Monomial) -> Option
     Some(LinCon { coeffs, k })
 }
 
-/// Serialize tests that toggle the process-global solver knobs (memo cache
-/// and interval layer), restoring both modes on drop. `None` leaves a knob
-/// at its ambient setting while still holding the lock.
+/// Serialize tests that toggle the process-global interval switch, set it
+/// to `interval`, and restore the previous setting on drop.
 #[cfg(test)]
-pub(crate) fn solver_knob_guard(cache: Option<bool>, iv: Option<bool>) -> impl Drop {
+pub(crate) fn solver_knob_guard(interval: bool) -> impl Drop {
     use std::sync::{Mutex, MutexGuard, OnceLock};
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     struct Guard {
-        prev_cache: u8,
-        prev_interval: u8,
+        prev: bool,
         _lock: MutexGuard<'static, ()>,
     }
     impl Drop for Guard {
         fn drop(&mut self) {
-            CACHE_MODE.store(self.prev_cache, Ordering::Relaxed);
-            interval::restore_mode(self.prev_interval);
+            interval::set_entail_interval(self.prev);
         }
     }
     let lock = LOCK
@@ -1180,16 +905,10 @@ pub(crate) fn solver_knob_guard(cache: Option<bool>, iv: Option<bool>) -> impl D
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     let guard = Guard {
-        prev_cache: CACHE_MODE.load(Ordering::Relaxed),
-        prev_interval: interval::mode_raw(),
+        prev: interval::entail_interval_enabled(),
         _lock: lock,
     };
-    if let Some(on) = cache {
-        set_entail_cache(on);
-    }
-    if let Some(on) = iv {
-        interval::set_entail_interval(on);
-    }
+    interval::set_entail_interval(interval);
     guard
 }
 
@@ -1394,153 +1113,16 @@ mod tests {
 }
 
 #[cfg(test)]
-mod cache_tests {
-    use super::*;
-
-    /// Serialize tests that toggle the process-global cache mode, restoring
-    /// the previous mode on drop.
-    fn cache_guard(on: bool) -> impl Drop {
-        solver_knob_guard(Some(on), None)
-    }
-
-    #[test]
-    fn repeat_queries_hit_in_both_orientations() {
-        let _g = cache_guard(true);
-        let mut a = ExprArena::new();
-        let f = Facts::new();
-        let x = a.var("x");
-        let y = a.var("y");
-        let l = a.add(x, y);
-        let r = a.add(y, x);
-        assert!(f.prove_eq(&mut a, l, r));
-        let (h0, m0) = a.entail_cache_stats();
-        assert_eq!((h0, m0), (0, 1));
-        assert!(f.prove_eq(&mut a, l, r));
-        // The query is symmetric and the key id-ordered, so the flipped
-        // orientation shares the slot.
-        assert!(f.prove_eq(&mut a, r, l));
-        let (h1, m1) = a.entail_cache_stats();
-        assert_eq!((h1, m1), (2, 1));
-    }
-
-    #[test]
-    fn prove_eq_zero_is_cached_under_the_sentinel_pair() {
-        let _g = cache_guard(true);
-        let mut a = ExprArena::new();
-        let f = Facts::new();
-        let x = a.var("x");
-        let d = a.sub(x, x);
-        assert!(f.prove_eq_zero(&mut a, d));
-        assert!(f.prove_eq_zero(&mut a, d));
-        let (h, m) = a.entail_cache_stats();
-        assert_eq!((h, m), (1, 1));
-    }
-
-    #[test]
-    fn facts_mutation_invalidates_by_generation() {
-        let _g = cache_guard(true);
-        let mut a = ExprArena::new();
-        let mut f = Facts::new();
-        let x = a.var("x");
-        let y = a.var("y");
-        assert!(!f.prove_eq(&mut a, x, y), "unprovable without hypotheses");
-        let g0 = f.generation();
-        f.assume_eq(&mut a, x, y);
-        assert_ne!(f.generation(), g0, "mutation must re-tag");
-        // The stale negative verdict must not be replayed: the new
-        // generation misses and the prover re-derives `x = y`.
-        assert!(f.prove_eq(&mut a, x, y));
-        let (hits, _) = a.entail_cache_stats();
-        assert_eq!(hits, 0, "no query may hit across the mutation");
-    }
-
-    #[test]
-    fn empty_fact_sets_share_cached_verdicts() {
-        let _g = cache_guard(true);
-        let mut a = ExprArena::new();
-        let x = a.var("x");
-        let y = a.var("y");
-        let f1 = Facts::new();
-        let f2 = Facts::new();
-        assert_eq!(f1.generation(), 0);
-        assert_eq!(f2.generation(), 0);
-        assert!(!f1.prove_eq(&mut a, x, y));
-        assert!(!f2.prove_eq(&mut a, x, y));
-        let (h, m) = a.entail_cache_stats();
-        assert_eq!((h, m), (1, 1), "a fresh Facts reuses generation-0 slots");
-    }
-
-    #[test]
-    fn clones_share_generation_until_their_own_mutation() {
-        let _g = cache_guard(true);
-        let mut a = ExprArena::new();
-        let mut f = Facts::new();
-        let x = a.var("x");
-        let y = a.var("y");
-        f.assume_eq(&mut a, x, y);
-        let mut c = f.clone();
-        assert_eq!(c.generation(), f.generation());
-        assert_eq!(c, f);
-        let z = a.var("z");
-        c.assume_eq(&mut a, y, z);
-        assert_ne!(c.generation(), f.generation());
-        assert_ne!(c, f);
-    }
-
-    #[test]
-    fn disabled_cache_touches_nothing() {
-        let _g = cache_guard(false);
-        assert!(!entail_cache_enabled());
-        let mut a = ExprArena::new();
-        let f = Facts::new();
-        let x = a.var("x");
-        let y = a.var("y");
-        let l = a.add(x, y);
-        let r = a.add(y, x);
-        assert!(f.prove_eq(&mut a, l, r));
-        assert!(f.prove_eq(&mut a, l, r));
-        assert_eq!(a.entail_cache_stats(), (0, 0));
-    }
-
-    #[test]
-    fn cached_and_uncached_verdicts_agree() {
-        let _g = cache_guard(true);
-        let mut warm = ExprArena::new();
-        let mut cold = ExprArena::new();
-        for (arena, on) in [(&mut warm, true), (&mut cold, false)] {
-            set_entail_cache(on);
-            let mut f = Facts::new();
-            let i = arena.var("i");
-            let n = arena.var("n");
-            let cond = arena.bin(BinOp::Slt, i, n);
-            let one = arena.int(1);
-            f.assume_neq_zero(arena, cond);
-            // Ask each query twice so the warm arena answers from cache.
-            for _ in 0..2 {
-                assert!(f.prove_eq(arena, cond, one));
-                assert!(!f.prove_eq(arena, i, n));
-                let d = arena.sub(n, i);
-                let dm1 = arena.sub(d, one);
-                assert!(!f.prove_eq_zero(arena, d));
-                assert!(f.prove_ge0(arena, dm1));
-            }
-        }
-        assert!(warm.entail_cache_stats().0 > 0);
-        assert_eq!(cold.entail_cache_stats(), (0, 0));
-    }
-}
-
-#[cfg(test)]
 mod interval_tests {
     use super::*;
 
-    /// Run a query battery with the interval layer on and off (memo cache
-    /// off, so every query is decided fresh) and demand identical verdicts.
+    /// Run a query battery with the interval layer on and off and demand
+    /// identical verdicts.
     /// Every tier-1/tier-2 rule has at least one query that exercises it.
     fn assert_mode_identical(build: impl Fn(&mut ExprArena, &mut Facts) -> Vec<bool>) {
         let mut verdicts: Vec<Vec<bool>> = Vec::new();
         for on in [true, false] {
-            let _g = solver_knob_guard(Some(false), Some(on));
+            let _g = solver_knob_guard(on);
             let mut arena = ExprArena::new();
             let mut facts = Facts::new();
             verdicts.push(build(&mut arena, &mut facts));
@@ -1674,29 +1256,6 @@ mod interval_tests {
             let sum_bound = a.sub(xp2, big);
             vec![f.prove_ge0(a, xp2), f.prove_ge0(a, sum_bound)]
         });
-    }
-
-    #[test]
-    fn eviction_counter_is_observable() {
-        let _g = solver_knob_guard(Some(true), None);
-        let mut a = ExprArena::new();
-        let f = Facts::new();
-        assert_eq!(a.entail_cache_evictions(), 0);
-        // Hammer distinct queries until two keys collide in the 8192-slot
-        // direct map; 10_000 distinct stores guarantee at least one.
-        for k in 0..10_000 {
-            let x = a.var("x");
-            let c = a.int(k);
-            let e = a.add(x, c);
-            let _ = f.prove_eq_zero(&mut a, e);
-        }
-        assert!(
-            a.entail_cache_evictions() > 0,
-            "10k stores into 8192 slots must collide"
-        );
-        let (h, m) = a.entail_cache_stats();
-        assert_eq!(h, 0);
-        assert_eq!(m, 10_000);
     }
 }
 

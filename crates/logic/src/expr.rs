@@ -170,9 +170,6 @@ pub struct ExprArena {
     dedup: HashMap<ExprNode, ExprId>,
     var_names: Vec<String>,
     var_dedup: HashMap<String, VarId>,
-    /// Memoized entailment verdicts (ids are arena-relative, so the cache
-    /// must live and die with the arena; see `entail::EntailCache`).
-    pub(crate) entail_cache: crate::entail::EntailCache,
 }
 
 impl ExprArena {
@@ -238,24 +235,6 @@ impl ExprArena {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
-    }
-
-    /// `(hits, misses)` of this arena's entailment query cache. Unlike the
-    /// process-global `logic.cache.*` counters these are always recorded
-    /// (they cost nothing extra on the exclusive `&mut` query path), so
-    /// tests can assert cache behavior without enabling `talft_obs`.
-    #[must_use]
-    pub fn entail_cache_stats(&self) -> (u64, u64) {
-        self.entail_cache.stats()
-    }
-
-    /// Number of live entries the direct-mapped entailment cache overwrote
-    /// because a different key hashed to an occupied slot — the 8192-slot
-    /// map's conflict rate, always recorded like
-    /// [`ExprArena::entail_cache_stats`].
-    #[must_use]
-    pub fn entail_cache_evictions(&self) -> u64 {
-        self.entail_cache.evictions()
     }
 
     /// Maximum syntax-tree depth over every interned expression (leaves have

@@ -34,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod cachefile;
 pub mod entail;
 pub mod eval;
 pub mod expr;
@@ -43,11 +42,10 @@ pub mod norm;
 pub mod subst;
 pub mod witness;
 
-pub use cachefile::{clear_solver_cache, load_solver_cache, save_solver_cache, solver_cache_stats};
-pub use entail::{entail_cache_enabled, set_entail_cache, Facts};
+pub use entail::Facts;
 pub use eval::{eval, eval_int, eval_mem, Env, EvalError, MemVal, Value};
 pub use expr::{BinOp, ExprArena, ExprId, ExprNode, Kind, KindCtx, KindError, VarId};
-pub use interval::{entail_interval_enabled, set_entail_interval};
+pub use interval::set_entail_interval;
 pub use norm::{norm_int, norm_mem, reify_memnf, reify_poly, MemNf, Poly};
 pub use subst::{Subst, SubstError};
 pub use witness::EntailWitness;

@@ -3,8 +3,8 @@
 //! When the checker or a lint cannot prove an obligation, a bare "cannot
 //! prove" is hard to act on. An [`EntailWitness`] reconstructs *why* the
 //! proof failed, on demand and independently of which solver tier answered
-//! (interval, memo cache, persistent cache, or FM — all verdict-identical,
-//! so the explanation may be recomputed from the hypotheses alone):
+//! (interval, box, or FM — all verdict-identical, so the explanation may be
+//! recomputed from the hypotheses alone):
 //!
 //! * a constant residue ("the sides differ by the constant 3");
 //! * an atom no hypothesis constrains ("no fact bounds `r3'`");
@@ -13,8 +13,8 @@
 //!
 //! `talft-core` attaches the rendered note to TF000 diagnostics and
 //! `talft-analysis` to lint notes. Because the builders re-derive the
-//! explanation from the same `Facts`, enabling or disabling any cache
-//! layer cannot change diagnostic text — `tests/interval_prop.rs` pins
+//! explanation from the same `Facts`, turning the interval pre-solver on
+//! or off cannot change diagnostic text — `tests/interval_prop.rs` pins
 //! this.
 
 use crate::entail::Facts;
@@ -367,10 +367,10 @@ mod tests {
     }
 
     #[test]
-    fn witness_text_is_cache_mode_independent() {
+    fn witness_text_is_interval_mode_independent() {
         let mut texts = Vec::new();
-        for (iv, pc) in [(true, true), (true, false), (false, true), (false, false)] {
-            let _g = crate::entail::solver_knob_guard(Some(pc), Some(iv));
+        for iv in [true, false] {
+            let _g = crate::entail::solver_knob_guard(iv);
             let mut a = ExprArena::new();
             let mut f = Facts::new();
             let i = a.var("i");

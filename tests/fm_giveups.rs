@@ -6,10 +6,11 @@
 //! to zero across every suite kernel — the caps' first test witness.
 //!
 //! The interval pre-solver is forced OFF for the measured run: with it on,
-//! the Tiny suite's FM-bound queries are all answered upstream (see the
-//! `checkperf` matrix in BENCH_perf.json) and the regression would vacuously
-//! pass with zero FM runs. The knob and the obs registry are process-global,
-//! hence the dedicated integration-test binary.
+//! the Tiny suite's FM-bound queries are all answered upstream (compare the
+//! interval off and on rows of the `checkperf` table in BENCH_perf.json)
+//! and the regression would vacuously pass with zero FM runs. The switch
+//! and the obs registry are process-global, hence the dedicated
+//! integration-test binary.
 
 use talft::compiler::{compile, CompileOptions};
 use talft::core::check_program;
@@ -18,7 +19,6 @@ use talft::suite::{kernels, Scale};
 
 #[test]
 fn fm_never_gives_up_on_suite_kernels() {
-    let ambient = talft::logic::entail_interval_enabled();
     set_entail_interval(false);
     talft::obs::set_enabled(true);
     talft::obs::reset_all();
@@ -34,7 +34,7 @@ fn fm_never_gives_up_on_suite_kernels() {
     let n = |key: &str| snap.counters.get(key).copied().unwrap_or(0);
     let (runs, giveups) = (n("logic.fm.runs"), n("logic.fm.giveups"));
     talft::obs::set_enabled(false);
-    set_entail_interval(ambient);
+    set_entail_interval(true);
 
     assert!(
         runs > 0,

@@ -1,30 +1,24 @@
-//! Interval/pcache transparency over whole compiled programs (E21
-//! satellite, mirroring `entail_cache_prop.rs`): the interval pre-solver
-//! and the persistent cross-run verdict cache in `talft_logic` must both
-//! be *semantically invisible* — for any program the checker reaches a
-//! bit-identical verdict, and renders identical diagnostics (including the
-//! solver failure-witness notes), across all four combinations of
-//! {interval off, on} × {pcache disabled, enabled}.
+//! Interval pre-solver transparency over whole compiled programs (E21):
+//! the interval layer in `talft_logic` must be *semantically invisible* —
+//! for any program the checker reaches a bit-identical verdict, and renders
+//! identical diagnostics (including the solver failure-witness notes), with
+//! the layer off (the Fourier–Motzkin reference path) and on.
 //!
-//! The in-crate unit tests cover each layer's mechanics in isolation
-//! (`talft_logic` `interval_tests`, `crates/logic/tests/pcache.rs`); this
-//! test drives the *real* query distribution: fixed kernels plus
-//! generatively fuzzed Wile sources compiled through the full reliability
-//! transformation, and hand-written ill-typed `.talft` programs whose
-//! rejection diagnostics carry entailment witnesses. The pcache-enabled
-//! combinations share ONE backing file across both interval modes — keys
-//! are canonical-normal-form based and mode-independent, so a verdict
-//! recorded with the interval layer off must replay bit-identically with
-//! it on (and vice versa). Any divergence is a solver unsoundness.
+//! The in-crate unit tests cover the layer's rules in isolation
+//! (`talft_logic` `interval_tests`); this test drives the *real* query
+//! distribution: fixed kernels plus generatively fuzzed Wile sources
+//! compiled through the full reliability transformation, and hand-written
+//! ill-typed `.talft` programs whose rejection diagnostics carry entailment
+//! witnesses. Any divergence is a solver unsoundness.
 //!
-//! Both knobs are process-global, which is why this lives in its own
-//! integration-test binary: the combinations run serially and the ambient
-//! state is restored at the end.
+//! The switch is process-global, which is why this lives in its own
+//! integration-test binary: the modes run serially and the default (on) is
+//! restored at the end.
 
 use talft::compiler::{compile, CompileOptions};
 use talft::core::check_program;
 use talft::isa::assemble;
-use talft::logic::{clear_solver_cache, load_solver_cache, save_solver_cache, set_entail_interval};
+use talft::logic::set_entail_interval;
 use talft_testutil::wile::{random_stmts, render_program};
 use talft_testutil::SplitMix64;
 
@@ -65,7 +59,7 @@ main:
 "#,
 ];
 
-/// One full pass over the corpus under the ambient (knob-set) solver mode:
+/// One full pass over the corpus under the current interval mode:
 /// compile-and-check every Wile source, assemble-and-check every rejection
 /// fixture. Returns everything the modes must agree on.
 fn run_corpus(wile: &[String]) -> (Vec<Result<(), String>>, Vec<String>) {
@@ -113,32 +107,13 @@ fn solver_modes_are_verdict_and_diagnostic_identical() {
         .collect();
     let wile: Vec<String> = fixed.iter().chain(&generated).cloned().collect();
 
-    let cache_file = std::env::temp_dir().join(format!(
-        "talft-interval-prop-{}.solvercache",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&cache_file);
-
-    let ambient = talft::logic::entail_interval_enabled();
-    // Order matters for coverage: the first pcache pass (interval OFF)
-    // records FM verdicts cold; the second (interval ON) replays them warm
-    // across the mode boundary.
-    let combos = [(false, false), (true, false), (false, true), (true, true)];
+    let modes = [false, true];
     let mut results = Vec::new();
-    for (interval, pcache) in combos {
+    for interval in modes {
         set_entail_interval(interval);
-        clear_solver_cache();
-        if pcache {
-            load_solver_cache(&cache_file);
-        }
         results.push(run_corpus(&wile));
-        if pcache {
-            save_solver_cache().expect("cache file writes");
-        }
     }
-    clear_solver_cache();
-    set_entail_interval(ambient);
-    let _ = std::fs::remove_file(&cache_file);
+    set_entail_interval(true);
 
     let (baseline_verdicts, baseline_diags) = &results[0];
     for (src_i, v) in baseline_verdicts.iter().enumerate() {
@@ -149,14 +124,14 @@ fn solver_modes_are_verdict_and_diagnostic_identical() {
             wile[src_i]
         );
     }
-    for ((interval, pcache), (verdicts, diags)) in combos.iter().zip(&results).skip(1) {
+    for (interval, (verdicts, diags)) in modes.iter().zip(&results).skip(1) {
         assert_eq!(
             verdicts, baseline_verdicts,
-            "interval={interval} pcache={pcache} changed a checker verdict"
+            "interval={interval} changed a checker verdict"
         );
         assert_eq!(
             diags, baseline_diags,
-            "interval={interval} pcache={pcache} changed a rendered diagnostic"
+            "interval={interval} changed a rendered diagnostic"
         );
     }
     // The witness notes themselves are part of the cross-mode contract.
