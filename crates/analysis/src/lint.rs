@@ -16,7 +16,7 @@
 //! | `TF005` | error | layout: control falls off the code end, or a blue transfer targets a non-block address |
 //! | `TF006` | warning | blue transfer target cannot be resolved statically |
 //! | `TF007` | warning | a queue annotation's address is not provably inside any declared region (solver-backed; carries an entailment failure witness) |
-//! | `TF008` | warning | pair-fault hot spot: a dual-compare defeated by disproportionately many cooperating fault pairs (opt-in via [`lint_pairs`](crate::pair::lint_pairs), carries a witness pair) |
+//! | `TF008` | warning | pair-fault hot spot: a dual-compare defeated by disproportionately many cooperating fault pairs (opt-in via [`PairReport::hotspots`](crate::pair::PairReport::hotspots), carries a witness pair) |
 
 use std::collections::BTreeMap;
 
@@ -42,7 +42,7 @@ pub const LINT_UNRESOLVED_TARGET: &str = "TF006";
 /// Stable lint code: queue annotation address not provably in any region.
 pub const LINT_QUEUE_BOUNDS: &str = "TF007";
 /// Stable lint code: pair-fault hot spot (disproportionately defeatable
-/// dual-compare). Opt-in: emitted by [`crate::pair::lint_pairs`], never by
+/// dual-compare). Opt-in: emitted by [`crate::pair::PairReport::hotspots`], never by
 /// [`lint_program`] — k=2 exposure is expected, not a program error.
 pub const LINT_PAIR_HOTSPOT: &str = "TF008";
 

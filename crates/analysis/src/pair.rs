@@ -10,6 +10,9 @@
 //! reach, and on which side — green compare state or blue register
 //! operands — after all sanitizing pass-edges) plus the full *entry-state
 //! reach map*: the joined taint surviving at entry to every address.
+//! [`PairAnalyzer::pair_report`] skips the run for GPR cells whose
+//! register is dead at the strike: such a taint is never read, so its
+//! summary is empty and it can never be half of a cooperating pair.
 //!
 //! **Phase 2 — pairwise composition.** The zap transfer is *linear* in the
 //! taint, so two corruptions propagate independently except at the compare
@@ -53,7 +56,8 @@
 //! [`cross_validate_pairs`](crate::diff::cross_validate_pairs) checks
 //! against exhaustive and sampled k=2 campaign grids.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 
 use talft_core::Diagnostic;
@@ -61,10 +65,10 @@ use talft_isa::Program;
 
 use crate::cfg::Cfg;
 use crate::lint::LINT_PAIR_HOTSPOT;
-use crate::live::liveness;
+use crate::mask::RegMask;
 use crate::zap::{
-    analyze_zaps_with, queue_pessimism, run_lanes, Ctx, Record, Side, Taint, Touch, Vuln, VulnKind,
-    ZapClass, ZapReport,
+    analyze_zaps_in, ix, queue_pessimism, run_lanes, Ctx, Record, Side, Taint, Touch, Vuln,
+    VulnKind, ZapClass, ZapReport,
 };
 
 /// Pair verdicts reuse the per-cell scale: a pair is `Vulnerable` when the
@@ -194,9 +198,68 @@ pub struct PairVerdict {
 /// Phase-1 summary of one cell's solo taint run (its class lives in the
 /// k=1 report; `run_lanes` on the same seed reproduces it).
 struct Summary {
-    touches: BTreeSet<Touch>,
-    /// Entry-state may-taint wherever the cell's corruption survives.
-    reach: BTreeMap<i64, Taint>,
+    /// Sorted, deduplicated dual-compare touches.
+    touches: Vec<Touch>,
+    /// Entry-state may-taint wherever the cell's corruption survives,
+    /// sorted by address.
+    reach: Vec<(i64, Taint)>,
+}
+
+impl Summary {
+    /// The first strike's residual taint at entry to `addr`.
+    fn reach_at(&self, addr: i64) -> Option<Taint> {
+        self.reach
+            .binary_search_by_key(&addr, |&(a, _)| a)
+            .ok()
+            .map(|i| self.reach[i].1)
+    }
+}
+
+/// A data cell resolved for composition: its strike address, seed taint
+/// and phase-1 summary.
+struct Member {
+    cell: Cell,
+    seed: Taint,
+    summary: Rc<Summary>,
+}
+
+/// Safe data cells sharing a (k=1 class, touch signature) key: every
+/// member composes identically at the screen level.
+struct Group {
+    class: ZapClass,
+    sig: Vec<Touch>,
+    size: u64,
+    /// The resolved members, for touching groups only (the only ones that
+    /// can become candidates).
+    members: Vec<Member>,
+}
+
+/// Multiplicative word hasher for the composition memo: its keys are a
+/// handful of machine words, and SipHash's flooding resistance buys
+/// nothing on analyzer-internal keys.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        for &b in words.remainder() {
+            self.add(u64::from(b));
+        }
+    }
 }
 
 /// The pair-fault analyzer: owns the CFG, the k=1 report, and memoized
@@ -204,11 +267,14 @@ struct Summary {
 pub struct PairAnalyzer<'a> {
     program: &'a Program,
     cfg: Cfg,
+    /// Registers live on entry to each address (empty when bailed).
+    live_in: Vec<RegMask>,
     pessimistic: Vec<bool>,
     k1: ZapReport,
     summaries: HashMap<Cell, Rc<Summary>>,
-    /// Composition results keyed by the only state they depend on.
-    composed: HashMap<(Taint, i64, Taint), Option<Vuln>>,
+    /// Composition results keyed by the only state they depend on:
+    /// (first strike's residual, second strike's address and seed).
+    composed: HashMap<(Taint, i64, Taint), Option<Vuln>, BuildHasherDefault<WordHasher>>,
     /// Two-lane fixpoints actually run (memo misses) — a cost diagnostic.
     fixpoints: u64,
 }
@@ -220,21 +286,16 @@ impl<'a> PairAnalyzer<'a> {
     #[must_use]
     pub fn new(program: &'a Program) -> PairAnalyzer<'a> {
         let cfg = Cfg::build(program);
-        let k1 = match liveness(program, &cfg) {
-            Some(live) => analyze_zaps_with(program, &cfg, &live),
-            None => ZapReport {
-                bailed: Some(format!("{} GPRs exceed the taint mask", program.num_gprs)),
-                ..ZapReport::default()
-            },
-        };
+        let (k1, live) = analyze_zaps_in(program, &cfg);
         let pessimistic = queue_pessimism(&cfg);
         PairAnalyzer {
             program,
             cfg,
+            live_in: live.map_or_else(Vec::new, |l| l.live_in),
             pessimistic,
             k1,
             summaries: HashMap::new(),
-            composed: HashMap::new(),
+            composed: HashMap::default(),
             fixpoints: 0,
         }
     }
@@ -286,7 +347,7 @@ impl<'a> PairAnalyzer<'a> {
     fn seed(cell: Cell) -> Option<Taint> {
         match cell {
             Cell::Gpr { reg, .. } => Some(Taint {
-                regs: crate::mask::RegMask::bit(reg),
+                regs: RegMask::bit(reg),
                 ..Taint::default()
             }),
             Cell::Queue { slot, .. } => {
@@ -315,47 +376,72 @@ impl<'a> PairAnalyzer<'a> {
         }
     }
 
-    fn summary(&mut self, cell: Cell) -> Rc<Summary> {
-        if let Some(s) = self.summaries.get(&cell) {
-            return Rc::clone(s);
+    /// A GPR cell whose register is dead at the strike: never read again,
+    /// so its solo run touches no compare and leaves it k=1 Benign.
+    fn is_dead(&self, cell: Cell) -> bool {
+        match cell {
+            Cell::Gpr { addr, reg } => !self.live_in[ix(addr)].test(reg),
+            _ => false,
         }
+    }
+
+    fn member(&mut self, cell: Cell) -> Member {
         let seed = Self::seed(cell).expect("summaries only for data cells");
-        let run = run_lanes::<1>(
-            &self.ctx(),
-            cell.addr(),
-            [seed],
-            Record {
-                touches: true,
-                reach: true,
-            },
-        );
-        let s = Rc::new(Summary {
-            touches: run.touches.into_iter().collect(),
-            reach: run.reach.into_iter().map(|(a, [t])| (a, t)).collect(),
-        });
-        self.summaries.insert(cell, Rc::clone(&s));
-        s
+        let summary = match self.summaries.get(&cell) {
+            Some(s) => Rc::clone(s),
+            None => {
+                let run = run_lanes::<1>(
+                    &self.ctx(),
+                    cell.addr(),
+                    [seed],
+                    Record {
+                        touches: true,
+                        reach: true,
+                    },
+                );
+                let s = Rc::new(Summary {
+                    touches: run.touches,
+                    reach: run.reach.into_iter().map(|(a, [t])| (a, t)).collect(),
+                });
+                self.summaries.insert(cell, Rc::clone(&s));
+                s
+            }
+        };
+        Member {
+            cell,
+            seed,
+            summary,
+        }
     }
 
     /// Phase 2 for one ordered `(first strike, second strike)`: seed a
     /// two-lane run at the second address with the first cell's residual
     /// reach. `None` when the strikes cannot interact (rule c).
-    fn compose(&mut self, first: Cell, second: Cell) -> Option<Vuln> {
-        let residual = *self.summary(first).reach.get(&second.addr())?;
-        let seed2 = Self::seed(second)?;
-        let key = (residual, second.addr(), seed2);
+    fn compose(&mut self, first: &Member, second: &Member) -> Option<Vuln> {
+        let addr = second.cell.addr();
+        let residual = first.summary.reach_at(addr)?;
+        let key = (residual, addr, second.seed);
         if let Some(&v) = self.composed.get(&key) {
             return v;
         }
         let run = run_lanes::<2>(
             &self.ctx(),
-            second.addr(),
-            [residual, seed2],
+            addr,
+            [residual, second.seed],
             Record::default(),
         );
         self.fixpoints += 1;
         self.composed.insert(key, run.vuln);
         run.vuln
+    }
+
+    /// The cooperation rule of a screen-passing pair: both strike orders
+    /// are composed; `None` when neither may defeat a compare.
+    fn cooperate(&mut self, a: &Member, b: &Member) -> Option<PairRule> {
+        if let Some(v) = self.compose(a, b) {
+            return Some(Self::rule_of(v, a.cell, b.cell));
+        }
+        self.compose(b, a).map(|v| Self::rule_of(v, b.cell, a.cell))
     }
 
     fn rule_of(v: Vuln, first: Cell, second: Cell) -> PairRule {
@@ -417,32 +503,20 @@ impl<'a> PairAnalyzer<'a> {
                 rule: Some(PairRule::SingleVulnerable),
             });
         }
-        let sa = self.summary(a);
-        let sb = self.summary(b);
-        let safe = PairVerdict {
-            class: if ca == ZapClass::Detected || cb == ZapClass::Detected {
-                PairClass::Detected
-            } else {
-                PairClass::Benign
-            },
+        let ma = self.member(a);
+        let mb = self.member(b);
+        if opposite_overlap(&ma.summary.touches, &mb.summary.touches) {
+            if let Some(rule) = self.cooperate(&ma, &mb) {
+                return Some(PairVerdict {
+                    class: PairClass::Vulnerable,
+                    rule: Some(rule),
+                });
+            }
+        }
+        Some(PairVerdict {
+            class: safe_class(ca, cb),
             rule: None,
-        };
-        if !opposite_overlap(&sa.touches, &sb.touches) {
-            return Some(safe);
-        }
-        if let Some(v) = self.compose(a, b) {
-            return Some(PairVerdict {
-                class: PairClass::Vulnerable,
-                rule: Some(Self::rule_of(v, a, b)),
-            });
-        }
-        if let Some(v) = self.compose(b, a) {
-            return Some(PairVerdict {
-                class: PairClass::Vulnerable,
-                rule: Some(Self::rule_of(v, b, a)),
-            });
-        }
-        Some(safe)
+        })
     }
 
     /// Enumerate and classify **every** unordered cell pair (same-cell
@@ -460,9 +534,10 @@ impl<'a> PairAnalyzer<'a> {
         let cells = self.cells();
         let mut pc_cells = 0u64;
         let mut vuln_cells = 0u64;
-        // Safe data cells bucketed by (class, touch signature): every
-        // member composes identically at the screen level.
-        let mut groups: BTreeMap<(ZapClass, Vec<Touch>), Vec<Cell>> = BTreeMap::new();
+        // Safe data cells bucketed by (class, touch signature). Dead GPR
+        // cells skip phase 1: their solo run is provably empty, so they
+        // land in (Benign, ∅), which never becomes a candidate.
+        let mut keyed: BTreeMap<(ZapClass, Vec<Touch>), Vec<Cell>> = BTreeMap::new();
         for &c in &cells {
             if matches!(c, Cell::Pc { .. }) {
                 pc_cells += 1;
@@ -473,8 +548,12 @@ impl<'a> PairAnalyzer<'a> {
                 vuln_cells += 1;
                 continue;
             }
-            let sig: Vec<Touch> = self.summary(c).touches.iter().copied().collect();
-            groups.entry((class, sig)).or_default().push(c);
+            let sig = if self.is_dead(c) {
+                Vec::new()
+            } else {
+                self.member(c).summary.touches.clone()
+            };
+            keyed.entry((class, sig)).or_default().push(c);
         }
         report.cells = cells.len();
         let n = cells.len() as u64;
@@ -488,49 +567,63 @@ impl<'a> PairAnalyzer<'a> {
         report.single_vulnerable =
             vuln_cells * (vuln_cells + 1) / 2 + vuln_cells * (safe_cells + pc_cells);
         report.vulnerable += report.single_vulnerable;
+        // Resolve each touching group's members once, up front.
+        let groups: Vec<Group> = keyed
+            .into_iter()
+            .map(|((class, sig), cells)| {
+                let members = if sig.is_empty() {
+                    Vec::new()
+                } else {
+                    cells.iter().map(|&c| self.member(c)).collect()
+                };
+                Group {
+                    class,
+                    sig,
+                    size: cells.len() as u64,
+                    members,
+                }
+            })
+            .collect();
+        // Cooperative defeats and the first witness, per compare address.
+        let mut defeats: Vec<(u64, Option<(Cell, Cell)>)> = vec![(0, None); self.cfg.n];
         // Safe × safe, group-wise.
-        let keys: Vec<(ZapClass, Vec<Touch>)> = groups.keys().cloned().collect();
-        for (i, ki) in keys.iter().enumerate() {
-            for kj in keys.iter().skip(i) {
-                let (gi, gj) = (&groups[ki], &groups[kj]);
-                let count = if ki == kj {
-                    let g = gi.len() as u64;
-                    g * (g + 1) / 2
-                } else {
-                    gi.len() as u64 * gj.len() as u64
-                };
-                let safe_class = if ki.0 == ZapClass::Detected || kj.0 == ZapClass::Detected {
-                    ZapClass::Detected
-                } else {
-                    ZapClass::Benign
-                };
-                let sig_i: BTreeSet<Touch> = ki.1.iter().copied().collect();
-                let sig_j: BTreeSet<Touch> = kj.1.iter().copied().collect();
-                if !opposite_overlap(&sig_i, &sig_j) {
+        for (i, gi) in groups.iter().enumerate() {
+            for (j, gj) in groups.iter().enumerate().skip(i) {
+                let safe_class = safe_class(gi.class, gj.class);
+                if !opposite_overlap(&gi.sig, &gj.sig) {
+                    let count = if i == j {
+                        gi.size * (gi.size + 1) / 2
+                    } else {
+                        gi.size * gj.size
+                    };
                     report.tally_safe(safe_class, count);
                     continue;
                 }
-                // Candidates: compose each pair individually.
-                let (gi, gj) = (gi.clone(), gj.clone());
-                for (x, &a) in gi.iter().enumerate() {
-                    let from = if ki == kj { x } else { 0 };
-                    for &b in &gj[from..] {
-                        match self.classify_pair(a, b).expect("covered cells") {
-                            PairVerdict {
-                                class: ZapClass::Vulnerable,
-                                rule,
-                            } => {
+                // Candidates: the group keys already fix the class, pc and
+                // screen checks, so compose each pair directly.
+                for (x, a) in gi.members.iter().enumerate() {
+                    let from = if i == j { x } else { 0 };
+                    for b in &gj.members[from..] {
+                        match self.cooperate(a, b) {
+                            Some(rule) => {
                                 report.vulnerable += 1;
                                 report.cooperative += 1;
-                                if let Some(at) = rule.and_then(PairRule::compare_addr) {
-                                    *report.per_compare.entry(at).or_insert(0) += 1;
-                                    report.witness.entry(at).or_insert((a, b));
+                                if let Some(at) = rule.compare_addr() {
+                                    let (count, witness) = &mut defeats[ix(at)];
+                                    *count += 1;
+                                    witness.get_or_insert((a.cell, b.cell));
                                 }
                             }
-                            _ => report.tally_safe(safe_class, 1),
+                            None => report.tally_safe(safe_class, 1),
                         }
                     }
                 }
+            }
+        }
+        for (at, (count, witness)) in (1..).zip(defeats) {
+            if let Some(w) = witness {
+                report.per_compare.insert(at, count);
+                report.witness.insert(at, w);
             }
         }
         report.fixpoints = self.fixpoints;
@@ -538,17 +631,27 @@ impl<'a> PairAnalyzer<'a> {
     }
 }
 
-/// Do two touch sets share a compare with opposite sides?
-fn opposite_overlap(a: &BTreeSet<Touch>, b: &BTreeSet<Touch>) -> bool {
+/// The class of a pair of k=1-safe cells that cannot cooperate.
+fn safe_class(a: ZapClass, b: ZapClass) -> PairClass {
+    if a == ZapClass::Detected || b == ZapClass::Detected {
+        PairClass::Detected
+    } else {
+        PairClass::Benign
+    }
+}
+
+/// Do two sorted touch sets share a compare with opposite sides?
+fn opposite_overlap(a: &[Touch], b: &[Touch]) -> bool {
     let (small, big) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     small.iter().any(|t| {
-        big.contains(&Touch {
+        big.binary_search(&Touch {
             at: t.at,
             side: match t.side {
                 Side::Green => Side::Blue,
                 Side::Blue => Side::Green,
             },
         })
+        .is_ok()
     })
 }
 
@@ -573,8 +676,11 @@ pub struct PairReport {
     pub per_compare: BTreeMap<i64, u64>,
     /// One witness pair per defeatable compare.
     pub witness: BTreeMap<i64, (Cell, Cell)>,
-    /// Two-lane fixpoints actually run (memoization makes this far
-    /// smaller than the candidate count).
+    /// Two-lane fixpoints this analyzer had run when the report was
+    /// taken: memo misses over (residual, address, seed) keys, so far
+    /// smaller than the candidate count. Cumulative per analyzer, so
+    /// [`PairAnalyzer::classify_pair`] queries made before the report
+    /// count too.
     pub fixpoints: u64,
     /// Set when the analyzer refused (then every count is zero).
     pub bailed: Option<String>,
@@ -598,48 +704,56 @@ impl PairReport {
             (self.detected + self.benign) as f64 / self.pairs as f64
         }
     }
+
+    /// `TF008` — flag dual-compares defeated by *disproportionately* many
+    /// cooperating pairs: a compare whose cooperative-defeat count is at
+    /// least twice the per-compare mean (with at least two defeatable
+    /// compares to compare against). Opt-in: every dual-modular compare is
+    /// defeatable by *some* coordinated double strike — Theorem 4 only
+    /// covers k=1 — so this warns about outliers, not existence.
+    /// `program` must be the one this report was built from.
+    #[must_use]
+    pub fn hotspots(&self, program: &Program) -> Vec<Diagnostic> {
+        let mut diags = Vec::new();
+        let compares = self.per_compare.len() as u64;
+        let total: u64 = self.per_compare.values().sum();
+        if compares < 2 || total == 0 {
+            return diags;
+        }
+        for (&at, &count) in &self.per_compare {
+            // count >= 2 × mean, in integers: count × compares >= 2 × total.
+            if count * compares < 2 * total {
+                continue;
+            }
+            let i = &program.instrs[ix(at)];
+            let (w1, w2) = self.witness[&at];
+            diags.push(
+                Diagnostic::warning(
+                    LINT_PAIR_HOTSPOT,
+                    format!(
+                        "`{i}` is defeated by {count} of {total} cooperating fault pairs \
+                         ({compares} defeatable compares)"
+                    ),
+                )
+                .at(program, at)
+                .note(format!(
+                    "witness pair: {w1} + {w2} — consider narrowing the live range \
+                     feeding this compare"
+                )),
+            );
+        }
+        diags.sort_by_key(|d| (d.span.as_ref().map_or(0, |s| s.addr), d.code));
+        diags
+    }
 }
 
-/// `TF008` — flag dual-compares defeated by *disproportionately* many
-/// cooperating pairs: a compare whose cooperative-defeat count is at least
-/// twice the per-compare mean (with at least two defeatable compares to
-/// compare against). Opt-in: every dual-modular compare is defeatable by
-/// *some* coordinated double strike — Theorem 4 only covers k=1 — so this
-/// warns about outliers, not existence.
+/// `TF008` over a fresh pair analysis: shorthand for
+/// `PairAnalyzer::new(program).pair_report().hotspots(program)`. Callers
+/// that already hold a [`PairReport`] should call
+/// [`PairReport::hotspots`] instead of re-running the analysis.
 #[must_use]
 pub fn lint_pairs(program: &Program) -> Vec<Diagnostic> {
-    let mut analyzer = PairAnalyzer::new(program);
-    let report = analyzer.pair_report();
-    let mut diags = Vec::new();
-    let compares = report.per_compare.len() as u64;
-    let total: u64 = report.per_compare.values().sum();
-    if compares < 2 || total == 0 {
-        return diags;
-    }
-    for (&at, &count) in &report.per_compare {
-        // count >= 2 × mean, in integers: count × compares >= 2 × total.
-        if count * compares < 2 * total {
-            continue;
-        }
-        let i = &program.instrs[(at - 1) as usize];
-        let (w1, w2) = report.witness[&at];
-        diags.push(
-            Diagnostic::warning(
-                LINT_PAIR_HOTSPOT,
-                format!(
-                    "`{i}` is defeated by {count} of {total} cooperating fault pairs \
-                     ({compares} defeatable compares)"
-                ),
-            )
-            .at(program, at)
-            .note(format!(
-                "witness pair: {w1} + {w2} — consider narrowing the live range \
-                 feeding this compare"
-            )),
-        );
-    }
-    diags.sort_by_key(|d| (d.span.as_ref().map_or(0, |s| s.addr), d.code));
-    diags
+    PairAnalyzer::new(program).pair_report().hotspots(program)
 }
 
 #[cfg(test)]
@@ -757,6 +871,73 @@ main:
             pa.classify_pair(a, b).expect("covered").class,
             PairClass::Vulnerable
         );
+    }
+
+    /// Every dead GPR cell's solo run, recorded: the contract behind the
+    /// `pair_report` shortcut that files dead cells under (Benign, ∅)
+    /// without running them.
+    fn assert_dead_cells_are_inert(name: &str, program: &Program) {
+        let pa = PairAnalyzer::new(program);
+        assert!(pa.bailed().is_none(), "{name}: {:?}", pa.bailed());
+        let mut dead = 0;
+        for &(addr, reg) in pa.k1.gpr.keys() {
+            let cell = Cell::Gpr { addr, reg };
+            if !pa.is_dead(cell) {
+                continue;
+            }
+            dead += 1;
+            let run = run_lanes::<1>(
+                &pa.ctx(),
+                addr,
+                [PairAnalyzer::seed(cell).expect("data cell")],
+                Record {
+                    touches: true,
+                    reach: false,
+                },
+            );
+            assert!(
+                run.touches.is_empty(),
+                "{name}: {cell} touches {:?}",
+                run.touches
+            );
+            assert!(run.vuln.is_none(), "{name}: {cell} defeats a compare");
+            assert!(!run.checked, "{name}: {cell} reaches a guard");
+            assert_eq!(pa.k1_class(cell), Some(ZapClass::Benign), "{name}: {cell}");
+        }
+        assert!(dead > 0, "{name}: no dead cells exercised");
+    }
+
+    #[test]
+    fn dead_register_cells_touch_nothing() {
+        use talft_compiler::{compile, CompileOptions};
+        use talft_testutil::wile::{random_stmts, render_program};
+        use talft_testutil::SplitMix64;
+
+        let mut sources: Vec<(String, String)> = talft_suite::kernels(talft_suite::Scale::Tiny)
+            .into_iter()
+            .map(|k| (k.name.to_owned(), k.source))
+            .collect();
+        let mut r = SplitMix64::new(0x0dead);
+        for i in 0..4 {
+            let stmts = random_stmts(&mut r, 3, 4, 10);
+            sources.push((format!("wile#{i}"), render_program(&stmts)));
+        }
+        for (name, src) in &sources {
+            let c = compile(src, &CompileOptions::default()).expect("compiles");
+            assert_dead_cells_are_inert(&format!("{name}/protected"), &c.protected.program);
+            assert_dead_cells_are_inert(&format!("{name}/baseline"), &c.baseline.program);
+        }
+    }
+
+    #[test]
+    fn too_wide_programs_bail_like_the_k1_analyzer() {
+        let wide = STORE.replacen(".data", ".gprs 200\n.data", 1);
+        let asm = assemble(&wide).expect("assembles");
+        let mut pa = PairAnalyzer::new(&asm.program);
+        let k1 = crate::zap::analyze_zaps(&asm.program);
+        assert!(k1.bailed.is_some());
+        assert_eq!(pa.bailed(), k1.bailed.as_deref());
+        assert_eq!(pa.pair_report().bailed, k1.bailed);
     }
 
     #[test]

@@ -244,17 +244,29 @@ pub(crate) struct Vuln {
 /// Build the CFG and liveness, then classify every reachable cell.
 #[must_use]
 pub fn analyze_zaps(program: &Program) -> ZapReport {
-    let cfg = Cfg::build(program);
-    let Some(live) = liveness(program, &cfg) else {
-        return ZapReport {
-            bailed: Some(format!(
-                "{} GPRs exceed the {MAX_GPRS}-register taint mask",
-                program.num_gprs
-            )),
-            ..ZapReport::default()
-        };
-    };
-    analyze_zaps_with(program, &cfg, &live)
+    analyze_zaps_in(program, &Cfg::build(program)).0
+}
+
+/// Run liveness against a prebuilt CFG, then classify every reachable
+/// cell. The liveness is handed back for callers that reuse it; it is
+/// `None` (and the report bailed) when the program is too wide for the
+/// taint mask.
+pub(crate) fn analyze_zaps_in(program: &Program, cfg: &Cfg) -> (ZapReport, Option<Liveness>) {
+    match liveness(program, cfg) {
+        Some(live) => (analyze_zaps_with(program, cfg, &live), Some(live)),
+        None => (too_wide(program), None),
+    }
+}
+
+/// The refusal for programs wider than [`MAX_GPRS`].
+fn too_wide(program: &Program) -> ZapReport {
+    ZapReport {
+        bailed: Some(format!(
+            "{} GPRs exceed the {MAX_GPRS}-register taint mask",
+            program.num_gprs
+        )),
+        ..ZapReport::default()
+    }
 }
 
 /// Per-address queue pessimism: `true` exactly at addresses reachable from
@@ -285,14 +297,10 @@ pub(crate) fn queue_pessimism(cfg: &Cfg) -> Vec<bool> {
 /// Classify every reachable cell against a prebuilt CFG and liveness.
 #[must_use]
 pub fn analyze_zaps_with(program: &Program, cfg: &Cfg, live: &Liveness) -> ZapReport {
-    let mut report = ZapReport::default();
     if program.num_gprs > MAX_GPRS {
-        report.bailed = Some(format!(
-            "{} GPRs exceed the {MAX_GPRS}-register taint mask",
-            program.num_gprs
-        ));
-        return report;
+        return too_wide(program);
     }
+    let mut report = ZapReport::default();
     let cx = Ctx {
         program,
         cfg,
@@ -399,9 +407,10 @@ pub(crate) struct LaneRun<const L: usize> {
     pub checked: bool,
     /// Dual-compare touches (when [`Record::touches`]; deduplicated).
     pub touches: Vec<Touch>,
-    /// May-taint at *entry* to each address with any surviving taint
-    /// (when [`Record::reach`]; partial if the run aborted vulnerable).
-    pub reach: BTreeMap<i64, [Taint; L]>,
+    /// May-taint at *entry* to each address with any surviving taint,
+    /// sorted by address (when [`Record::reach`]; partial if the run
+    /// aborted vulnerable).
+    pub reach: Vec<(i64, [Taint; L])>,
 }
 
 /// Propagate `L` independently-seeded taints in lockstep to a fixpoint.
@@ -455,7 +464,7 @@ pub(crate) fn run_lanes<const L: usize>(
             .filter_map(|a| state[ix(a)].map(|t| (a, t)))
             .collect()
     } else {
-        BTreeMap::new()
+        Vec::new()
     };
     LaneRun {
         vuln,
