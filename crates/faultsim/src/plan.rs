@@ -82,20 +82,18 @@ impl FaultPlan {
     }
 }
 
-/// The exhaustive-in-sites, strided-in-time single-fault plan set — the
-/// `k = 1` instantiation the legacy sweep performed implicitly: for every
-/// dynamic step `≡ 0 (mod stride)` of the golden run (including the final,
+/// Walk the golden run and hand `visit` every strided strike, in step
+/// order: every dynamic step `≡ 0 (mod stride)` (including the final,
 /// halted state), every fault site of that state, and up to
-/// `mutations_per_site` corrupted values.
-#[must_use]
-pub fn single_fault_plans(
+/// `mutations_per_site` corrupted values per site.
+fn for_each_strided_strike(
     program: &Arc<Program>,
     cfg: &CampaignConfig,
     golden: &Golden,
-) -> Vec<FaultPlan> {
+    mut visit: impl FnMut(Strike),
+) {
     let stride = cfg.effective_stride();
     let n = golden.steps;
-    let mut plans = Vec::new();
     let mut frontier = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
     let mut at = frontier.steps();
     loop {
@@ -105,7 +103,11 @@ pub fn single_fault_plans(
                     continue;
                 };
                 for value in mutations(old).into_iter().take(cfg.mutations_per_site) {
-                    plans.push(FaultPlan::single(at, site, value));
+                    visit(Strike {
+                        at_step: at,
+                        site,
+                        value,
+                    });
                 }
             }
         }
@@ -115,6 +117,24 @@ pub fn single_fault_plans(
         step(&mut frontier);
         at = frontier.steps();
     }
+}
+
+/// The exhaustive-in-sites, strided-in-time single-fault plan set — the
+/// `k = 1` instantiation the legacy sweep performed implicitly: for every
+/// dynamic step `≡ 0 (mod stride)` of the golden run (including the final,
+/// halted state), every fault site of that state, and up to
+/// `mutations_per_site` corrupted values. The plans come out in
+/// first-strike order, so a shard can borrow its range of them.
+#[must_use]
+pub fn single_fault_plans(
+    program: &Arc<Program>,
+    cfg: &CampaignConfig,
+    golden: &Golden,
+) -> Vec<FaultPlan> {
+    let mut plans = Vec::new();
+    for_each_strided_strike(program, cfg, golden, |s| {
+        plans.push(FaultPlan { strikes: vec![s] });
+    });
     plans
 }
 
@@ -131,32 +151,8 @@ pub fn exhaustive_pair_plans(
     cfg: &CampaignConfig,
     golden: &Golden,
 ) -> Vec<FaultPlan> {
-    let stride = cfg.effective_stride();
-    let n = golden.steps;
     let mut strikes = Vec::new();
-    let mut frontier = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
-    let mut at = frontier.steps();
-    loop {
-        if at.is_multiple_of(stride) {
-            for site in sites(&frontier) {
-                let Some(old) = read_site(&frontier, site) else {
-                    continue;
-                };
-                for value in mutations(old).into_iter().take(cfg.mutations_per_site) {
-                    strikes.push(Strike {
-                        at_step: at,
-                        site,
-                        value,
-                    });
-                }
-            }
-        }
-        if at >= n || !frontier.status().is_running() {
-            break;
-        }
-        step(&mut frontier);
-        at = frontier.steps();
-    }
+    for_each_strided_strike(program, cfg, golden, |s| strikes.push(s));
     let mut plans = Vec::with_capacity(strikes.len() * (strikes.len().saturating_sub(1)) / 2);
     for (i, &a) in strikes.iter().enumerate() {
         for &b in &strikes[i + 1..] {
@@ -425,6 +421,46 @@ done:
             .all(|s| s.is_multiple_of(stride) && *s <= golden.steps));
         // every strided step of the run is represented
         assert_eq!(steps.len() as u64, golden.steps / stride + 1);
+    }
+
+    /// The k=1 grid rebuilt with the `Vec`-building reference
+    /// `mutations`: same walk, same order, at every per-site cap.
+    #[test]
+    fn single_plans_match_the_mutations_oracle() {
+        use talft_machine::fault::mutations_oracle;
+        let p = arc(LOOPY);
+        for mutations_per_site in [1, 3, usize::MAX] {
+            let cfg = CampaignConfig {
+                mutations_per_site,
+                ..CampaignConfig::default()
+            };
+            let golden = crate::golden_run(&p, &cfg).expect("halts");
+            let mut oracle = Vec::new();
+            let mut m = Machine::boot(Arc::clone(&p)).with_oob_policy(cfg.oob);
+            loop {
+                let at = m.steps();
+                if at.is_multiple_of(cfg.effective_stride()) {
+                    for site in sites(&m) {
+                        let old = read_site(&m, site).expect("listed site exists");
+                        for value in mutations_oracle(old).into_iter().take(mutations_per_site) {
+                            oracle.push(FaultPlan::single(at, site, value));
+                        }
+                    }
+                }
+                if at >= golden.steps || !m.status().is_running() {
+                    break;
+                }
+                step(&mut m);
+            }
+            let plans = single_fault_plans(&p, &cfg, &golden);
+            assert!(
+                plans
+                    .iter()
+                    .any(|pl| matches!(pl.strikes[0].site, FaultSite::QueueVal(_))),
+                "the grid must reach queue sites"
+            );
+            assert_eq!(plans, oracle, "mutations_per_site = {mutations_per_site}");
+        }
     }
 
     #[test]

@@ -32,6 +32,9 @@
 //! SIGKILL included — leaves either the previous or the next checkpoint on
 //! disk, never a torn one.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
+use std::fmt::Write as _;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
@@ -48,6 +51,7 @@ use crate::{
 static SHARD_CHUNKS: LazyCounter = LazyCounter::new("faultsim.shard.chunks");
 static SHARD_CHECKPOINTS: LazyCounter = LazyCounter::new("faultsim.shard.checkpoints");
 static SHARD_RESUMED_PLANS: LazyCounter = LazyCounter::new("faultsim.shard.resumed_plans");
+static FINGERPRINTS: LazyCounter = LazyCounter::new("faultsim.fingerprint");
 
 /// Default chunk size (plans between checkpoints) for shard runs.
 pub const DEFAULT_CHECKPOINT_EVERY: usize = 256;
@@ -111,9 +115,7 @@ impl Fnv {
         match s {
             FaultSite::Reg(r) => {
                 self.byte(1);
-                for b in r.to_string().bytes() {
-                    self.byte(b);
-                }
+                write!(self, "{r}").expect("hashing cannot fail");
             }
             FaultSite::QueueAddr(i) => {
                 self.byte(2);
@@ -127,12 +129,24 @@ impl Fnv {
     }
 }
 
+/// Hashes formatted text byte by byte, so a `Display` value streams into
+/// the hash without an intermediate `String`.
+impl std::fmt::Write for Fnv {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.byte(b);
+        }
+        Ok(())
+    }
+}
+
 /// Fingerprint of a campaign grid: golden run (steps + trace) and the full
 /// plan set. Two processes agree on the fingerprint iff they derived the
 /// same grid, which is what makes a checkpoint or shard report from another
 /// process safe to combine with locally derived plans.
 #[must_use]
 pub fn grid_fingerprint(golden: &Golden, plans: &[FaultPlan]) -> u64 {
+    FINGERPRINTS.inc();
     let mut h = Fnv::new();
     h.u64(golden.steps);
     h.u64(golden.trace.len() as u64);
@@ -160,7 +174,9 @@ fn sorted_order(plans: &[FaultPlan]) -> Vec<usize> {
     order
 }
 
-/// The plans of one shard, in execution (sorted) order.
+/// The plans of one shard, in execution (sorted) order. Sorts and clones;
+/// [`run_shard_campaign`] only needs this for input that is not already in
+/// first-strike order.
 #[must_use]
 pub fn shard_plans(plans: &[FaultPlan], spec: ShardSpec) -> Vec<FaultPlan> {
     let order = sorted_order(plans);
@@ -304,6 +320,11 @@ impl std::error::Error for ShardError {}
 /// checkpoint — the caller persists it and decides whether to continue —
 /// and is *not* called once the shard is complete.
 ///
+/// Input already in first-strike order — what [`crate::single_fault_plans`]
+/// returns — runs on its borrowed range; anything else goes through
+/// [`shard_plans`]. The grid fingerprint is computed only when needed: to
+/// validate `resume`, or for the first emitted checkpoint.
+///
 /// With `resume`, execution restarts at the checkpoint's watermark and the
 /// final report is **bit-identical** to an uninterrupted run of the shard
 /// (chunk-invariant accumulation; the resumed `checkpoint_every` need not
@@ -328,8 +349,13 @@ pub fn run_shard_campaign(
     if cfg.stop_on_first_violation {
         return Err(ShardError::GatedUnsupported);
     }
-    let mine = shard_plans(plans, spec);
-    let fingerprint = grid_fingerprint(golden, plans);
+    let mine: Cow<'_, [FaultPlan]> = if plans.is_sorted_by_key(FaultPlan::first_step) {
+        Cow::Borrowed(&plans[spec.range(plans.len())])
+    } else {
+        Cow::Owned(shard_plans(plans, spec))
+    };
+    let fingerprint_cell = OnceCell::new();
+    let fingerprint = || *fingerprint_cell.get_or_init(|| grid_fingerprint(golden, plans));
     let every = if checkpoint_every == 0 {
         mine.len().max(1)
     } else {
@@ -338,10 +364,11 @@ pub fn run_shard_campaign(
     let (mut done, mut report) = match resume {
         None => (0usize, CampaignReport::default()),
         Some(cp) => {
-            if cp.fingerprint != fingerprint {
+            if cp.fingerprint != fingerprint() {
                 return Err(ShardError::ResumeMismatch(format!(
                     "grid fingerprint {:016x} != checkpoint {:016x}",
-                    fingerprint, cp.fingerprint
+                    fingerprint(),
+                    cp.fingerprint
                 )));
             }
             if cp.spec != spec {
@@ -379,7 +406,7 @@ pub fn run_shard_campaign(
         SHARD_CHUNKS.inc();
         if done < mine.len() {
             let cp = CampaignCheckpoint {
-                fingerprint,
+                fingerprint: fingerprint(),
                 spec,
                 shard_plans: mine.len() as u64,
                 done: done as u64,
@@ -614,7 +641,7 @@ pub const fn violation_cap() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{golden_run, single_fault_plans, Injection, Verdict};
+    use crate::{golden_run, multi_fault_plans, single_fault_plans, Injection, Verdict};
     use talft_isa::{assemble, Reg};
 
     fn arc(src: &str) -> Arc<Program> {
@@ -669,6 +696,51 @@ main:
         assert_eq!(f1, grid_fingerprint(&golden, &plans), "deterministic");
         let fewer = &plans[..plans.len() - 1];
         assert_ne!(f1, grid_fingerprint(&golden, fewer));
+    }
+
+    /// The fingerprint crosses processes in checkpoints and shard reports,
+    /// so its value must not drift between builds: pinned as literals. The
+    /// k=1 grid depends on the stride, which `TALFT_STRIDE_SCALE`
+    /// multiplies (CI runs the tests at 3), so it is pinned at both scales
+    /// the suite runs under.
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        use talft_compiler::{compile, CompileOptions};
+        use talft_suite::{kernels, Scale};
+        let k = &kernels(Scale::Tiny)[0];
+        let c = compile(&k.source, &CompileOptions::default()).expect("compiles");
+        let p = &c.protected.program;
+        let cfg = CampaignConfig {
+            stride: 5,
+            pair_samples: 256,
+            threads: 1,
+            ..CampaignConfig::default()
+        };
+        let golden = golden_run(p, &cfg).expect("halts");
+        let k1 = single_fault_plans(p, &cfg, &golden);
+        let sites: Vec<FaultSite> = k1.iter().map(|pl| pl.strikes[0].site).collect();
+        assert!(sites
+            .iter()
+            .any(|s| matches!(s, FaultSite::Reg(Reg::Gpr(_)))));
+        assert!(sites.contains(&FaultSite::Reg(Reg::Dst)));
+        assert!(sites
+            .iter()
+            .any(|s| matches!(s, FaultSite::Reg(Reg::Pc(_)))));
+        assert!(sites.iter().any(|s| matches!(s, FaultSite::QueueAddr(_))));
+        assert!(sites.iter().any(|s| matches!(s, FaultSite::QueueVal(_))));
+        let pinned_k1 = match cfg.effective_stride() {
+            5 => 0xa6f5_70b5_72b0_d5a0,
+            15 => 0xf0f5_c6aa_a72b_e0b9,
+            other => panic!("k=1 fingerprint not pinned at effective stride {other}"),
+        };
+        assert_eq!(grid_fingerprint(&golden, &k1), pinned_k1, "{}: k=1", k.name);
+        let k2 = multi_fault_plans(p, &cfg, &golden, 2);
+        assert_eq!(
+            grid_fingerprint(&golden, &k2),
+            0xbb3a_eda1_1605_968e,
+            "{}: k=2",
+            k.name
+        );
     }
 
     #[test]

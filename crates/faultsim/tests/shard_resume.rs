@@ -12,7 +12,9 @@
 //!   `k ∈ {1, 2}`, even when the resumed run uses a *different* chunk size;
 //! * all of the above holds with the bit-parallel batched engine on *and*
 //!   off (`CampaignConfig::batch`, ISSUE 7): whole grid, shard union, and
-//!   interrupt/resume land on one canonical report either way.
+//!   interrupt/resume land on one canonical report either way;
+//! * a grid already in first-strike order (shards borrow their range) and
+//!   an unsorted one (shards sort and clone) shard to identical reports.
 
 use std::sync::Arc;
 
@@ -323,5 +325,63 @@ fn shard_paths_are_bit_identical_with_batching_on_and_off() {
                 k.name
             );
         }
+    }
+}
+
+/// A shard borrows its range when the grid is already in first-strike
+/// order and sorts and clones it otherwise; both paths must yield the same
+/// shard reports. The shard order is a *stable* sort by first-strike step,
+/// so a plain `reverse()` also flips the plans that share a step and moves
+/// the shard boundaries. The unsorted input for the like-for-like check is
+/// therefore the grid with its step groups in reverse order, which stably
+/// sorts back to the original. The plainly reversed grid must still shard
+/// exactly like its own stably sorted copy.
+#[test]
+fn borrowed_and_cloned_shard_paths_agree() {
+    let k = &kernels(Scale::Tiny)[1];
+    let c = compile(&k.source, &CompileOptions::default()).expect("compiles");
+    let p = &c.baseline.program;
+    let cfg = CampaignConfig {
+        stride: 61,
+        mutations_per_site: 2,
+        threads: 2,
+        ..CampaignConfig::default()
+    };
+    let golden = golden_run(p, &cfg).expect("golden halts");
+    let sorted = single_fault_plans(p, &cfg, &golden);
+    assert!(sorted.is_sorted_by_key(FaultPlan::first_step));
+    let groups: Vec<&[FaultPlan]> = sorted
+        .chunk_by(|a, b| a.first_step() == b.first_step())
+        .collect();
+    assert!(groups.len() >= 3, "need several strike steps to reverse");
+    let steps_reversed: Vec<FaultPlan> = groups.iter().rev().flat_map(|g| g.to_vec()).collect();
+    let reversed: Vec<FaultPlan> = sorted.iter().rev().cloned().collect();
+    let mut reversed_sorted = reversed.clone();
+    reversed_sorted.sort_by_key(FaultPlan::first_step);
+
+    let count = 3;
+    for (borrowed_grid, cloned_grid) in [(&sorted, &steps_reversed), (&reversed_sorted, &reversed)]
+    {
+        assert!(!cloned_grid.is_sorted_by_key(FaultPlan::first_step));
+        let whole = run_plan_campaign(p, &cfg, &golden, borrowed_grid);
+        assert!(whole.sdc > 0, "baseline grid should carry violations");
+        let mut parts = Vec::new();
+        for i in 0..count {
+            let spec = ShardSpec::new(i, count).expect("valid spec");
+            let borrowed = complete_part(p, &cfg, &golden, borrowed_grid, spec, 0);
+            let cloned = complete_part(p, &cfg, &golden, cloned_grid, spec, 0);
+            assert_eq!(
+                borrowed.report, cloned.report,
+                "{}: shard {spec} differs between the borrowed and cloned paths",
+                k.name
+            );
+            parts.push(borrowed);
+        }
+        let merged = merge_shard_reports(&parts).expect("partition merges");
+        assert_eq!(
+            merged, whole,
+            "{}: shard union diverged from the whole grid",
+            k.name
+        );
     }
 }

@@ -100,11 +100,81 @@ pub fn inject(m: &mut Machine, site: FaultSite, new_val: i64) -> bool {
     }
 }
 
+/// Most corrupted values [`mutations`] can propose for one site.
+pub const MAX_MUTATIONS: usize = 10;
+
+/// The corrupted values [`mutations`] proposes for one site: a fixed-capacity
+/// list that derefs to a slice, so generating it allocates nothing.
+#[derive(Clone, Copy)]
+pub struct Mutations {
+    vals: [i64; MAX_MUTATIONS],
+    len: u8,
+}
+
+impl std::ops::Deref for Mutations {
+    type Target = [i64];
+
+    fn deref(&self) -> &[i64] {
+        &self.vals[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Mutations {
+    type Item = i64;
+    type IntoIter = std::iter::Take<std::array::IntoIter<i64, MAX_MUTATIONS>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.vals.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl std::fmt::Debug for Mutations {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Representative corrupted values to try at a site holding `old`:
 /// single-bit flips of low/high/sign bits, small offsets, zero, and a
 /// large-magnitude constant. All distinct from `old`.
 #[must_use]
-pub fn mutations(old: i64) -> Vec<i64> {
+pub fn mutations(old: i64) -> Mutations {
+    let candidates = [
+        old ^ 1,
+        old ^ (1 << 7),
+        old ^ (1 << 31),
+        old ^ (1i64 << 62),
+        old.wrapping_add(1),
+        old.wrapping_sub(1),
+        0,
+        -1,
+        0x7fff_ffff,
+        old.wrapping_neg(),
+    ];
+    // A candidate is kept iff it differs from `old` and from every earlier
+    // candidate — the same list as skipping values already kept, but
+    // decided without branches; `len <= i`, so the store stays in bounds.
+    let mut out = Mutations {
+        vals: [0; MAX_MUTATIONS],
+        len: 0,
+    };
+    for (i, &c) in candidates.iter().enumerate() {
+        let mut seen = c == old;
+        for &earlier in &candidates[..i] {
+            seen |= earlier == c;
+        }
+        out.vals[usize::from(out.len)] = c;
+        out.len += u8::from(!seen);
+    }
+    out
+}
+
+/// Reference for [`mutations`]: the same candidates, deduplicated by
+/// pushing each value not yet kept into a `Vec`. Compiled for this crate's
+/// tests and, through the `oracle` feature, for other crates' tests.
+#[cfg(any(test, feature = "oracle"))]
+#[must_use]
+pub fn mutations_oracle(old: i64) -> Vec<i64> {
     let candidates = [
         old ^ 1,
         old ^ (1 << 7),
@@ -184,9 +254,39 @@ mod tests {
             let ms = mutations(old);
             assert!(!ms.is_empty());
             assert!(ms.iter().all(|&v| v != old));
-            let mut dedup = ms.clone();
+            let mut dedup = ms.to_vec();
             dedup.dedup();
             assert_eq!(dedup.len(), ms.len());
+        }
+    }
+
+    #[test]
+    fn mutations_match_the_vec_oracle() {
+        let check = |old: i64| {
+            let ms = mutations(old);
+            let oracle = mutations_oracle(old);
+            assert_eq!(&*ms, oracle.as_slice(), "slice differs at {old:#x}");
+            assert_eq!(
+                ms.into_iter().collect::<Vec<_>>(),
+                oracle,
+                "iter at {old:#x}"
+            );
+        };
+        for old in [
+            0,
+            1,
+            -1,
+            i64::MIN,
+            i64::MAX,
+            0x7fff_ffff,
+            1 << 62,
+            -(1 << 62),
+        ] {
+            check(old);
+        }
+        let mut rng = talft_testutil::SplitMix64::new(0x6d75_7461);
+        for _ in 0..10_000 {
+            check(rng.next_u64() as i64);
         }
     }
 }

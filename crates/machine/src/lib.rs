@@ -26,7 +26,9 @@ pub mod step;
 
 pub use audit::{audit_pending, run_audited, AuditViolation};
 pub use divergence::action_gpr_masks;
-pub use fault::{colored_reg_sites, inject, mutations, read_site, sites, FaultSite};
+pub use fault::{
+    colored_reg_sites, inject, mutations, read_site, sites, FaultSite, Mutations, MAX_MUTATIONS,
+};
 pub use run::{run, run_program, run_program_with_policy, RunResult};
 pub use sim::{sim_queue, sim_regs, sim_some_color, sim_state, sim_val};
 pub use state::{Machine, OobLoadPolicy, Output, Status, StuckReason};
