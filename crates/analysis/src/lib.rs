@@ -51,6 +51,7 @@ pub mod lint;
 pub mod live;
 pub mod mask;
 pub mod pair;
+mod par;
 pub mod zap;
 
 pub use cfg::{Cfg, DepthConflict};

@@ -4,15 +4,17 @@
 //!
 //! # Two phases
 //!
-//! **Phase 1 — per-cell taint-reach summaries.** For each fault cell the
-//! k=1 may-taint pass ([`crate::zap`]) is run once more in recording mode,
-//! producing a [`Touch`] set (which dual-compares the cell's taint can
-//! reach, and on which side — green compare state or blue register
-//! operands — after all sanitizing pass-edges) plus the full *entry-state
-//! reach map*: the joined taint surviving at entry to every address.
-//! [`PairAnalyzer::pair_report`] skips the run for GPR cells whose
-//! register is dead at the strike: such a taint is never read, so its
-//! summary is empty and it can never be half of a cooperating pair.
+//! **Phase 1 — per-cell taint-reach summaries.** The analyzer's own k=1
+//! may-taint pass ([`crate::zap`]) runs in recording mode, so each safe
+//! cell's run also yields a [`Touch`] set (which dual-compares the cell's
+//! taint can reach, and on which side — green compare state or blue
+//! register operands — after all sanitizing pass-edges) plus the full
+//! *entry-state reach map*: the joined taint surviving at entry to every
+//! address, kept as runs of addresses with equal taint. `d` cells, which
+//! the k=1 pass classifies without a run, are recorded on demand. GPR
+//! cells whose register is dead at the strike never run: such a taint is
+//! never read, so its summary is empty and it can never be half of a
+//! cooperating pair.
 //!
 //! **Phase 2 — pairwise composition.** The zap transfer is *linear* in the
 //! taint, so two corruptions propagate independently except at the compare
@@ -55,20 +57,38 @@
 //! admits no SDC — the invariant
 //! [`cross_validate_pairs`](crate::diff::cross_validate_pairs) checks
 //! against exhaustive and sampled k=2 campaign grids.
+//!
+//! # Threads
+//!
+//! The k=1 pass (one unit per address), the on-demand phase-1 runs (one
+//! unit per cell) and the candidate loop of
+//! [`PairAnalyzer::pair_report`] (one unit per row of candidate pairs)
+//! are split over the analyzer's workers. Each unit's result depends only
+//! on the unit, and the merges depend only on the results: counts add up,
+//! keyed results are inserted by key, and a compare's witness is the one
+//! found by the earliest unit — the serial loop's first witness. Each
+//! candidate-loop worker composes against the analyzer's memo plus a
+//! private one; the private memos are folded into the analyzer's after the
+//! loop, so the memo ends up holding exactly the keys the serial loop
+//! would have run, and [`PairReport::fixpoints`] is the same at every
+//! thread count.
 
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
-use std::rc::Rc;
+use std::sync::Arc;
 
 use talft_core::Diagnostic;
+use talft_faultsim::default_threads;
 use talft_isa::Program;
+use talft_obs::LazyCounter;
 
 use crate::cfg::Cfg;
 use crate::lint::LINT_PAIR_HOTSPOT;
+use crate::live::liveness;
 use crate::mask::RegMask;
+use crate::par::fan_out;
 use crate::zap::{
-    analyze_zaps_in, ix, queue_pessimism, run_lanes, Ctx, Record, Side, Taint, Touch, Vuln,
-    VulnKind, ZapClass, ZapReport,
+    classify, ix, queue_pessimism, run_lanes, too_wide, Ctx, LaneRun, Scratch, Side, Taint, Touch,
+    Vuln, VulnKind, ZapClass, ZapReport,
 };
 
 /// Pair verdicts reuse the per-cell scale: a pair is `Vulnerable` when the
@@ -195,32 +215,52 @@ pub struct PairVerdict {
     pub rule: Option<PairRule>,
 }
 
+/// Two-lane fixpoints that more than one worker ran for the same memo key
+/// in [`PairAnalyzer::pair_report`]: the price of per-worker memos.
+static REPEATED_FIXPOINTS: LazyCounter = LazyCounter::new("analysis.fixpoints.repeated");
+
 /// Phase-1 summary of one cell's solo taint run (its class lives in the
 /// k=1 report; `run_lanes` on the same seed reproduces it).
 struct Summary {
     /// Sorted, deduplicated dual-compare touches.
     touches: Vec<Touch>,
-    /// Entry-state may-taint wherever the cell's corruption survives,
-    /// sorted by address.
-    reach: Vec<(i64, Taint)>,
+    /// Entry-state may-taint wherever the cell's corruption survives, as
+    /// maximal runs `(first, last, taint)` of consecutive addresses with
+    /// equal taint, sorted by address. A taint usually survives many
+    /// instructions unchanged, so runs take a fraction of the memory of
+    /// one entry per address.
+    reach: Vec<(i64, i64, Taint)>,
 }
 
 impl Summary {
+    /// Record `seed`'s solo run at `at`.
+    fn of(cx: &Ctx, scratch: &mut Scratch<1>, at: i64, seed: Taint) -> Summary {
+        Summary::from_run(run_lanes(cx, scratch, at, [seed], true))
+    }
+
+    /// The summary of a solo run made with touches and reach recorded.
+    fn from_run(run: LaneRun<1>) -> Summary {
+        Summary {
+            touches: run.touches,
+            reach: run.reach.into_iter().map(|(f, l, [t])| (f, l, t)).collect(),
+        }
+    }
+
     /// The first strike's residual taint at entry to `addr`.
     fn reach_at(&self, addr: i64) -> Option<Taint> {
-        self.reach
-            .binary_search_by_key(&addr, |&(a, _)| a)
-            .ok()
-            .map(|i| self.reach[i].1)
+        let i = self.reach.partition_point(|&(first, _, _)| first <= addr);
+        let &(_, last, taint) = self.reach.get(i.checked_sub(1)?)?;
+        (addr <= last).then_some(taint)
     }
 }
 
-/// A data cell resolved for composition: its strike address, seed taint
-/// and phase-1 summary.
+/// A data cell resolved for composition: its strike address, seed taint,
+/// phase-1 summary, and its slot in the composition memo.
 struct Member {
     cell: Cell,
     seed: Taint,
-    summary: Rc<Summary>,
+    summary: Arc<Summary>,
+    slot: usize,
 }
 
 /// Safe data cells sharing a (k=1 class, touch signature) key: every
@@ -234,30 +274,114 @@ struct Group {
     members: Vec<Member>,
 }
 
-/// Multiplicative word hasher for the composition memo: its keys are a
-/// handful of machine words, and SipHash's flooding resistance buys
-/// nothing on analyzer-internal keys.
-#[derive(Default)]
-struct WordHasher(u64);
+/// The composition results of one second-strike cell, keyed by the
+/// first strike's residual taint at the cell's address: with the cell's
+/// address and seed, the only state a composition depends on. A cell
+/// meets few distinct residuals (at most 12 per cell on the suite), so a
+/// short list scans faster than a hash probe.
+type Results = Vec<(Taint, Option<Vuln>)>;
 
-impl WordHasher {
-    fn add(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+fn lookup(results: &[(Taint, Option<Vuln>)], residual: Taint) -> Option<Option<Vuln>> {
+    results
+        .iter()
+        .find(|&&(t, _)| t == residual)
+        .map(|&(_, v)| v)
+}
+
+/// Two-lane composition against the analyzer's memo, frozen, plus a
+/// private memo of the fixpoints this composer ran: each worker of the
+/// candidate loop owns one.
+struct Composer<'c> {
+    cx: Ctx<'c>,
+    /// The analyzer's memo, by member slot.
+    shared: &'c [Results],
+    /// Fixpoints this composer ran, by member slot (grown on demand).
+    local: Vec<Results>,
+    scratch: Scratch<2>,
+}
+
+impl<'c> Composer<'c> {
+    fn new(cx: Ctx<'c>, shared: &'c [Results]) -> Self {
+        Composer {
+            cx,
+            shared,
+            local: Vec::new(),
+            scratch: Scratch::new(cx.cfg.n),
+        }
+    }
+
+    /// Phase 2 for one ordered `(first strike, second strike)`: seed a
+    /// two-lane run at the second address with the first cell's residual
+    /// reach. `None` when the strikes cannot interact (rule c).
+    fn compose(&mut self, first: &Member, second: &Member) -> Option<Vuln> {
+        let addr = second.cell.addr();
+        let residual = first.summary.reach_at(addr)?;
+        let slot = second.slot;
+        let local = self.local.get(slot).map_or(&[][..], Vec::as_slice);
+        if let Some(v) = lookup(&self.shared[slot], residual).or_else(|| lookup(local, residual)) {
+            return v;
+        }
+        let run = run_lanes(
+            &self.cx,
+            &mut self.scratch,
+            addr,
+            [residual, second.seed],
+            false,
+        );
+        if self.local.len() <= slot {
+            self.local.resize_with(slot + 1, Vec::new);
+        }
+        self.local[slot].push((residual, run.vuln));
+        run.vuln
+    }
+
+    /// The cooperation rule of a screen-passing pair: both strike orders
+    /// are composed; `None` when neither may defeat a compare.
+    fn cooperate(&mut self, a: &Member, b: &Member) -> Option<PairRule> {
+        if let Some(v) = self.compose(a, b) {
+            return Some(PairAnalyzer::rule_of(v, a.cell, b.cell));
+        }
+        self.compose(b, a)
+            .map(|v| PairAnalyzer::rule_of(v, b.cell, a.cell))
     }
 }
 
-impl Hasher for WordHasher {
-    fn finish(&self) -> u64 {
-        self.0
+/// A witness pair, tagged with the candidate-loop unit that found it.
+type Witness = (usize, Cell, Cell);
+
+/// Candidate-loop outcomes: safe and cooperative counts, plus per compare
+/// address the cooperative defeats and the first witness.
+struct Tally {
+    detected: u64,
+    benign: u64,
+    cooperative: u64,
+    defeats: Vec<(u64, Option<Witness>)>,
+}
+
+impl Tally {
+    fn new(compares: usize) -> Tally {
+        Tally {
+            detected: 0,
+            benign: 0,
+            cooperative: 0,
+            defeats: vec![(0, None); compares],
+        }
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.add(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        for &b in words.remainder() {
-            self.add(u64::from(b));
+    /// Fold in another worker's tally: counts add up, and each compare
+    /// keeps the witness of the earlier unit. A worker claims its units in
+    /// increasing order, so this is the serial loop's first witness.
+    fn absorb(&mut self, other: Tally) {
+        self.detected += other.detected;
+        self.benign += other.benign;
+        self.cooperative += other.cooperative;
+        for ((count, witness), (c, w)) in self.defeats.iter_mut().zip(other.defeats) {
+            *count += c;
+            if let Some(w) = w {
+                if witness.is_none_or(|first| w.0 < first.0) {
+                    *witness = Some(w);
+                }
+            }
         }
     }
 }
@@ -271,32 +395,54 @@ pub struct PairAnalyzer<'a> {
     live_in: Vec<RegMask>,
     pessimistic: Vec<bool>,
     k1: ZapReport,
-    summaries: HashMap<Cell, Rc<Summary>>,
-    /// Composition results keyed by the only state they depend on:
-    /// (first strike's residual, second strike's address and seed).
-    composed: HashMap<(Taint, i64, Taint), Option<Vuln>, BuildHasherDefault<WordHasher>>,
-    /// Two-lane fixpoints actually run (memo misses) — a cost diagnostic.
-    fixpoints: u64,
+    summaries: HashMap<Cell, Arc<Summary>>,
+    /// The memo slot of every cell resolved as a [`Member`].
+    slots: HashMap<Cell, usize>,
+    /// Every two-lane fixpoint this analyzer has run, by the second
+    /// strike's slot; the entry count is [`PairReport::fixpoints`].
+    composed: Vec<Results>,
+    /// Workers for the k=1 pass and [`PairAnalyzer::pair_report`].
+    threads: usize,
 }
 
 impl<'a> PairAnalyzer<'a> {
-    /// Build the CFG, run the k=1 classifier, and prepare for pair
-    /// queries. A program too wide for the taint mask yields a bailed
-    /// analyzer: [`PairAnalyzer::classify_pair`] then answers `None`.
+    /// [`PairAnalyzer::with_threads`] on [`default_threads`] workers.
     #[must_use]
     pub fn new(program: &'a Program) -> PairAnalyzer<'a> {
+        PairAnalyzer::with_threads(program, default_threads())
+    }
+
+    /// Build the CFG, run the k=1 classifier, and prepare for pair
+    /// queries, splitting the k=1 pass and every later
+    /// [`PairAnalyzer::pair_report`] over `threads` workers (at least
+    /// one). Reports are the same at every thread count. A program too
+    /// wide for the taint mask yields a bailed analyzer:
+    /// [`PairAnalyzer::classify_pair`] then answers `None`.
+    #[must_use]
+    pub fn with_threads(program: &'a Program, threads: usize) -> PairAnalyzer<'a> {
+        let threads = threads.max(1);
         let cfg = Cfg::build(program);
-        let (k1, live) = analyze_zaps_in(program, &cfg);
+        // The k=1 pass records its runs: every safe GPR and queue cell's
+        // phase-1 summary comes out of it.
+        let (k1, live_in, summaries) = match liveness(program, &cfg) {
+            Some(live) => {
+                let summarize = |run| Arc::new(Summary::from_run(run));
+                let (k1, kept) = classify(program, &cfg, &live, threads, Some(&summarize));
+                (k1, live.live_in, kept.into_iter().collect())
+            }
+            None => (too_wide(program), Vec::new(), HashMap::new()),
+        };
         let pessimistic = queue_pessimism(&cfg);
         PairAnalyzer {
             program,
             cfg,
-            live_in: live.map_or_else(Vec::new, |l| l.live_in),
+            live_in,
             pessimistic,
             k1,
-            summaries: HashMap::new(),
-            composed: HashMap::default(),
-            fixpoints: 0,
+            summaries,
+            slots: HashMap::new(),
+            composed: Vec::new(),
+            threads,
         }
     }
 
@@ -388,60 +534,49 @@ impl<'a> PairAnalyzer<'a> {
     fn member(&mut self, cell: Cell) -> Member {
         let seed = Self::seed(cell).expect("summaries only for data cells");
         let summary = match self.summaries.get(&cell) {
-            Some(s) => Rc::clone(s),
+            Some(s) => Arc::clone(s),
             None => {
-                let run = run_lanes::<1>(
-                    &self.ctx(),
-                    cell.addr(),
-                    [seed],
-                    Record {
-                        touches: true,
-                        reach: true,
-                    },
-                );
-                let s = Rc::new(Summary {
-                    touches: run.touches,
-                    reach: run.reach.into_iter().map(|(a, [t])| (a, t)).collect(),
-                });
-                self.summaries.insert(cell, Rc::clone(&s));
+                let mut scratch = Scratch::new(self.cfg.n);
+                let s = Arc::new(Summary::of(&self.ctx(), &mut scratch, cell.addr(), seed));
+                self.summaries.insert(cell, Arc::clone(&s));
                 s
             }
         };
+        let slot = *self.slots.entry(cell).or_insert_with(|| {
+            self.composed.push(Vec::new());
+            self.composed.len() - 1
+        });
         Member {
             cell,
             seed,
             summary,
+            slot,
         }
     }
 
-    /// Phase 2 for one ordered `(first strike, second strike)`: seed a
-    /// two-lane run at the second address with the first cell's residual
-    /// reach. `None` when the strikes cannot interact (rule c).
-    fn compose(&mut self, first: &Member, second: &Member) -> Option<Vuln> {
-        let addr = second.cell.addr();
-        let residual = first.summary.reach_at(addr)?;
-        let key = (residual, addr, second.seed);
-        if let Some(&v) = self.composed.get(&key) {
-            return v;
-        }
-        let run = run_lanes::<2>(
-            &self.ctx(),
-            addr,
-            [residual, second.seed],
-            Record::default(),
-        );
-        self.fixpoints += 1;
-        self.composed.insert(key, run.vuln);
-        run.vuln
-    }
-
-    /// The cooperation rule of a screen-passing pair: both strike orders
-    /// are composed; `None` when neither may defeat a compare.
+    /// [`Composer::cooperate`] on this thread, keeping what it ran.
     fn cooperate(&mut self, a: &Member, b: &Member) -> Option<PairRule> {
-        if let Some(v) = self.compose(a, b) {
-            return Some(Self::rule_of(v, a.cell, b.cell));
+        let mut composer = Composer::new(self.ctx(), &self.composed);
+        let rule = composer.cooperate(a, b);
+        let ran = composer.local;
+        self.absorb(ran);
+        rule
+    }
+
+    /// Fold a composer's fixpoints into the memo; returns how many of them
+    /// the memo already held (another worker ran the same key).
+    fn absorb(&mut self, ran: Vec<Results>) -> usize {
+        let mut repeated = 0;
+        for (memo, results) in self.composed.iter_mut().zip(ran) {
+            for (residual, v) in results {
+                if lookup(memo, residual).is_some() {
+                    repeated += 1;
+                } else {
+                    memo.push((residual, v));
+                }
+            }
         }
-        self.compose(b, a).map(|v| Self::rule_of(v, b.cell, a.cell))
+        repeated
     }
 
     fn rule_of(v: Vuln, first: Cell, second: Cell) -> PairRule {
@@ -503,6 +638,14 @@ impl<'a> PairAnalyzer<'a> {
                 rule: Some(PairRule::SingleVulnerable),
             });
         }
+        // A dead GPR cell's taint is never read: it cannot cooperate (the
+        // `dead_register_cells_touch_nothing` contract), so skip its run.
+        if self.is_dead(a) || self.is_dead(b) {
+            return Some(PairVerdict {
+                class: safe_class(ca, cb),
+                rule: None,
+            });
+        }
         let ma = self.member(a);
         let mb = self.member(b);
         if opposite_overlap(&ma.summary.touches, &mb.summary.touches) {
@@ -523,6 +666,11 @@ impl<'a> PairAnalyzer<'a> {
     /// pairs included — a looped address can be struck twice). Safe pairs
     /// are counted combinatorially from touch-signature groups; only
     /// screen-passing candidates run two-lane fixpoints.
+    ///
+    /// Phase 1 (one recording run per live data cell) and the candidate
+    /// loop (one unit per row of candidate pairs, in enumeration order)
+    /// are split over the analyzer's workers; the report is the same at
+    /// every thread count.
     pub fn pair_report(&mut self) -> PairReport {
         let mut report = PairReport {
             bailed: self.k1.bailed.clone(),
@@ -534,24 +682,25 @@ impl<'a> PairAnalyzer<'a> {
         let cells = self.cells();
         let mut pc_cells = 0u64;
         let mut vuln_cells = 0u64;
-        // Safe data cells bucketed by (class, touch signature). Dead GPR
-        // cells skip phase 1: their solo run is provably empty, so they
-        // land in (Benign, ∅), which never becomes a candidate.
-        let mut keyed: BTreeMap<(ZapClass, Vec<Touch>), Vec<Cell>> = BTreeMap::new();
+        // pc, k=1-vulnerable and safe data cells; phase 1 summarizes the
+        // safe ones. Dead GPR cells skip it: their solo run is provably
+        // empty, so they land in (Benign, ∅), which never becomes a
+        // candidate.
+        let mut safe = Vec::new();
         for &c in &cells {
-            if matches!(c, Cell::Pc { .. }) {
-                pc_cells += 1;
-                continue;
+            match self.k1_class(c).expect("enumerated cells are classified") {
+                _ if matches!(c, Cell::Pc { .. }) => pc_cells += 1,
+                ZapClass::Vulnerable => vuln_cells += 1,
+                class => safe.push((c, class)),
             }
-            let class = self.k1_class(c).expect("enumerated cells are classified");
-            if class == ZapClass::Vulnerable {
-                vuln_cells += 1;
-                continue;
-            }
-            let sig = if self.is_dead(c) {
-                Vec::new()
-            } else {
-                self.member(c).summary.touches.clone()
+        }
+        self.summarize(safe.iter().map(|&(c, _)| c));
+        // Bucket the safe cells by (class, touch signature).
+        let mut keyed: BTreeMap<(ZapClass, Vec<Touch>), Vec<Cell>> = BTreeMap::new();
+        for (c, class) in safe {
+            let sig = match self.summaries.get(&c) {
+                Some(s) => s.touches.clone(),
+                None => Vec::new(),
             };
             keyed.entry((class, sig)).or_default().push(c);
         }
@@ -584,50 +733,96 @@ impl<'a> PairAnalyzer<'a> {
                 }
             })
             .collect();
-        // Cooperative defeats and the first witness, per compare address.
-        let mut defeats: Vec<(u64, Option<(Cell, Cell)>)> = vec![(0, None); self.cfg.n];
-        // Safe × safe, group-wise.
+        // Safe × safe, group-wise: screened-out group pairs are counted
+        // whole; the rest become candidate rows `(i, j, x)` — member `x`
+        // of group `i` against group `j` — in enumeration order.
+        let mut rows = Vec::new();
         for (i, gi) in groups.iter().enumerate() {
             for (j, gj) in groups.iter().enumerate().skip(i) {
-                let safe_class = safe_class(gi.class, gj.class);
-                if !opposite_overlap(&gi.sig, &gj.sig) {
+                if opposite_overlap(&gi.sig, &gj.sig) {
+                    rows.extend((0..gi.members.len()).map(|x| (i, j, x)));
+                } else {
                     let count = if i == j {
                         gi.size * (gi.size + 1) / 2
                     } else {
                         gi.size * gj.size
                     };
-                    report.tally_safe(safe_class, count);
-                    continue;
+                    report.tally_safe(safe_class(gi.class, gj.class), count);
                 }
-                // Candidates: the group keys already fix the class, pc and
-                // screen checks, so compose each pair directly.
-                for (x, a) in gi.members.iter().enumerate() {
-                    let from = if i == j { x } else { 0 };
-                    for b in &gj.members[from..] {
-                        match self.cooperate(a, b) {
-                            Some(rule) => {
-                                report.vulnerable += 1;
-                                report.cooperative += 1;
-                                if let Some(at) = rule.compare_addr() {
-                                    let (count, witness) = &mut defeats[ix(at)];
-                                    *count += 1;
-                                    witness.get_or_insert((a.cell, b.cell));
-                                }
-                            }
-                            None => report.tally_safe(safe_class, 1),
+            }
+        }
+        let tally = self.compose_rows(&groups, &rows);
+        report.detected += tally.detected;
+        report.benign += tally.benign;
+        report.vulnerable += tally.cooperative;
+        report.cooperative += tally.cooperative;
+        for (at, (count, witness)) in (1..).zip(tally.defeats) {
+            if let Some((_, a, b)) = witness {
+                report.per_compare.insert(at, count);
+                report.witness.insert(at, (a, b));
+            }
+        }
+        report.fixpoints = self.composed.iter().map(Vec::len).sum::<usize>() as u64;
+        report
+    }
+
+    /// Phase 1: one recording run per live cell of `cells` still lacking
+    /// a summary, split over the workers.
+    fn summarize(&mut self, cells: impl IntoIterator<Item = Cell>) {
+        let todo: Vec<Cell> = cells
+            .into_iter()
+            .filter(|&c| !self.is_dead(c) && !self.summaries.contains_key(&c))
+            .collect();
+        let cx = self.ctx();
+        let init = || (Scratch::new(cx.cfg.n), Vec::new());
+        let parts = fan_out(self.threads, todo.len(), init, |(scratch, done), unit| {
+            let c = todo[unit];
+            let seed = Self::seed(c).expect("summaries only for data cells");
+            done.push((c, Arc::new(Summary::of(&cx, scratch, c.addr(), seed))));
+        });
+        self.summaries
+            .extend(parts.into_iter().flat_map(|(_, done)| done));
+    }
+
+    /// The candidate loop: compose every pair of every row (one unit per
+    /// row), split over the workers, each with its own memo; then merge
+    /// the tallies and fold the workers' memos into the analyzer's.
+    fn compose_rows(&mut self, groups: &[Group], rows: &[(usize, usize, usize)]) -> Tally {
+        let cx = self.ctx();
+        let init = || (Composer::new(cx, &self.composed), Tally::new(cx.cfg.n));
+        let parts = fan_out(self.threads, rows.len(), init, |(composer, tally), unit| {
+            let (i, j, x) = rows[unit];
+            let (gi, gj) = (&groups[i], &groups[j]);
+            let a = &gi.members[x];
+            let from = if i == j { x } else { 0 };
+            for b in &gj.members[from..] {
+                match composer.cooperate(a, b) {
+                    Some(rule) => {
+                        tally.cooperative += 1;
+                        if let Some(at) = rule.compare_addr() {
+                            let (count, witness) = &mut tally.defeats[ix(at)];
+                            *count += 1;
+                            witness.get_or_insert((unit, a.cell, b.cell));
                         }
                     }
+                    None => match safe_class(gi.class, gj.class) {
+                        ZapClass::Detected => tally.detected += 1,
+                        _ => tally.benign += 1,
+                    },
                 }
             }
-        }
-        for (at, (count, witness)) in (1..).zip(defeats) {
-            if let Some(w) = witness {
-                report.per_compare.insert(at, count);
-                report.witness.insert(at, w);
-            }
-        }
-        report.fixpoints = self.fixpoints;
-        report
+        });
+        let mut total = Tally::new(self.cfg.n);
+        let memos: Vec<_> = parts
+            .into_iter()
+            .map(|(composer, tally)| {
+                total.absorb(tally);
+                composer.local
+            })
+            .collect();
+        let repeated: usize = memos.into_iter().map(|ran| self.absorb(ran)).sum();
+        REPEATED_FIXPOINTS.add(repeated as u64);
+        total
     }
 }
 
@@ -676,11 +871,13 @@ pub struct PairReport {
     pub per_compare: BTreeMap<i64, u64>,
     /// One witness pair per defeatable compare.
     pub witness: BTreeMap<i64, (Cell, Cell)>,
-    /// Two-lane fixpoints this analyzer had run when the report was
-    /// taken: memo misses over (residual, address, seed) keys, so far
-    /// smaller than the candidate count. Cumulative per analyzer, so
-    /// [`PairAnalyzer::classify_pair`] queries made before the report
-    /// count too.
+    /// Distinct two-lane fixpoints this analyzer had run when the report
+    /// was taken: the size of its memo over (residual, address, seed)
+    /// keys, so far smaller than the candidate count. Cumulative per
+    /// analyzer, so [`PairAnalyzer::classify_pair`] queries made before
+    /// the report count too. The same at every thread count: a key that
+    /// two workers both ran counts once (the repeats are the
+    /// `analysis.fixpoints.repeated` counter).
     pub fixpoints: u64,
     /// Set when the analyzer refused (then every count is zero).
     pub bailed: Option<String>,
@@ -886,14 +1083,12 @@ main:
                 continue;
             }
             dead += 1;
-            let run = run_lanes::<1>(
+            let run = run_lanes(
                 &pa.ctx(),
+                &mut Scratch::new(pa.cfg.n),
                 addr,
                 [PairAnalyzer::seed(cell).expect("data cell")],
-                Record {
-                    touches: true,
-                    reach: false,
-                },
+                true,
             );
             assert!(
                 run.touches.is_empty(),

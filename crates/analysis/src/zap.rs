@@ -44,13 +44,17 @@
 //! cooperation condition — two one-sided taints meeting opposite sides of
 //! one compare.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use talft_isa::{Color, Gpr, Instr, OpSrc, Program};
+
+use talft_faultsim::default_threads;
 
 use crate::cfg::Cfg;
 use crate::live::{liveness, Liveness};
 use crate::mask::{RegMask, MAX_GPRS};
+use crate::pair::Cell;
+use crate::par::fan_out;
 
 /// Static verdict for one (address, site) cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -241,25 +245,19 @@ pub(crate) struct Vuln {
     pub blue: u8,
 }
 
-/// Build the CFG and liveness, then classify every reachable cell.
+/// Build the CFG and liveness, then classify every reachable cell on
+/// [`default_threads`] workers.
 #[must_use]
 pub fn analyze_zaps(program: &Program) -> ZapReport {
-    analyze_zaps_in(program, &Cfg::build(program)).0
-}
-
-/// Run liveness against a prebuilt CFG, then classify every reachable
-/// cell. The liveness is handed back for callers that reuse it; it is
-/// `None` (and the report bailed) when the program is too wide for the
-/// taint mask.
-pub(crate) fn analyze_zaps_in(program: &Program, cfg: &Cfg) -> (ZapReport, Option<Liveness>) {
-    match liveness(program, cfg) {
-        Some(live) => (analyze_zaps_with(program, cfg, &live), Some(live)),
-        None => (too_wide(program), None),
+    let cfg = Cfg::build(program);
+    match liveness(program, &cfg) {
+        Some(live) => analyze_zaps_with(program, &cfg, &live, default_threads()),
+        None => too_wide(program),
     }
 }
 
 /// The refusal for programs wider than [`MAX_GPRS`].
-fn too_wide(program: &Program) -> ZapReport {
+pub(crate) fn too_wide(program: &Program) -> ZapReport {
     ZapReport {
         bailed: Some(format!(
             "{} GPRs exceed the {MAX_GPRS}-register taint mask",
@@ -295,10 +293,32 @@ pub(crate) fn queue_pessimism(cfg: &Cfg) -> Vec<bool> {
 }
 
 /// Classify every reachable cell against a prebuilt CFG and liveness.
+/// The reachable addresses are split over `threads` workers, one unit
+/// per address; the report is the same at every thread count.
 #[must_use]
-pub fn analyze_zaps_with(program: &Program, cfg: &Cfg, live: &Liveness) -> ZapReport {
+pub fn analyze_zaps_with(
+    program: &Program,
+    cfg: &Cfg,
+    live: &Liveness,
+    threads: usize,
+) -> ZapReport {
+    classify::<()>(program, cfg, live, threads, None).0
+}
+
+/// The k=1 pass behind [`analyze_zaps_with`]. With `keep`, every seeded
+/// run also records its touches and reach, and `keep` turns the run of
+/// each cell that is not Vulnerable into a value handed back beside the
+/// report, in no particular order: the pair analyzer's phase-1 summaries
+/// come out of its own k=1 pass this way.
+pub(crate) fn classify<S: Send>(
+    program: &Program,
+    cfg: &Cfg,
+    live: &Liveness,
+    threads: usize,
+    keep: Option<&(dyn Fn(LaneRun<1>) -> S + Sync)>,
+) -> (ZapReport, Vec<(Cell, S)>) {
     if program.num_gprs > MAX_GPRS {
-        return too_wide(program);
+        return (too_wide(program), Vec::new());
     }
     let mut report = ZapReport::default();
     let cx = Ctx {
@@ -307,10 +327,10 @@ pub fn analyze_zaps_with(program: &Program, cfg: &Cfg, live: &Liveness) -> ZapRe
         pessimistic: &queue_pessimism(cfg),
     };
     let reaches_check = reaches_check(program, cfg);
-    for a in 1..=cfg.n as i64 {
-        if !cfg.reachable[ix(a)] {
-            continue;
-        }
+    let addrs: Vec<i64> = (1..=cfg.n as i64)
+        .filter(|&a| cfg.reachable[ix(a)])
+        .collect();
+    for &a in &addrs {
         report.pc.insert(a, ZapClass::Detected);
         report.dst.insert(
             a,
@@ -320,42 +340,70 @@ pub fn analyze_zaps_with(program: &Program, cfg: &Cfg, live: &Liveness) -> ZapRe
                 ZapClass::Benign
             },
         );
-        for g in 0..program.num_gprs {
-            let class = if !live.live_in[ix(a)].test(g) {
-                // Dead registers are never read again: at worst a
-                // dissimilar (non-output) final state.
-                ZapClass::Benign
-            } else {
-                run_seed(
-                    &cx,
-                    a,
-                    Taint {
+    }
+    let record = keep.is_some();
+    // One seeded run; a safe cell's run is kept when asked for.
+    let run = |scratch: &mut Scratch<1>, kept: &mut Vec<(Cell, S)>, cell: Cell, seed: Taint| {
+        let run = run_lanes(&cx, scratch, cell.addr(), [seed], record);
+        let class = class_of(&run);
+        if let Some(keep) = keep.filter(|_| class != ZapClass::Vulnerable) {
+            kept.push((cell, keep(run)));
+        }
+        class
+    };
+    type Cells<S> = (
+        Scratch<1>,
+        Vec<((i64, u16), ZapClass)>,
+        Vec<((i64, usize), ZapClass)>,
+        Vec<(Cell, S)>,
+    );
+    let init = || -> Cells<S> { (Scratch::new(cfg.n), Vec::new(), Vec::new(), Vec::new()) };
+    let parts = fan_out(
+        threads,
+        addrs.len(),
+        init,
+        |(scratch, gpr, queue, kept), unit| {
+            let a = addrs[unit];
+            for g in 0..program.num_gprs {
+                let class = if !live.live_in[ix(a)].test(g) {
+                    // Dead registers are never read again: at worst a
+                    // dissimilar (non-output) final state.
+                    ZapClass::Benign
+                } else {
+                    let seed = Taint {
                         regs: RegMask::bit(g),
                         ..Taint::default()
-                    },
-                )
-            };
-            report.gpr.insert((a, g), class);
-        }
-        if let Some(depth) = cfg.depth_in[ix(a)] {
-            for slot in 0..depth {
-                let class = if slot >= 64 {
-                    ZapClass::Vulnerable
-                } else {
-                    run_seed(
-                        &cx,
-                        a,
-                        Taint {
+                    };
+                    run(scratch, kept, Cell::Gpr { addr: a, reg: g }, seed)
+                };
+                gpr.push(((a, g), class));
+            }
+            if let Some(depth) = cfg.depth_in[ix(a)] {
+                for slot in 0..depth {
+                    let class = if slot >= 64 {
+                        ZapClass::Vulnerable
+                    } else {
+                        let seed = Taint {
                             queue: 1u64 << slot,
                             ..Taint::default()
-                        },
-                    )
-                };
-                report.queue.insert((a, slot), class);
+                        };
+                        run(scratch, kept, Cell::Queue { addr: a, slot }, seed)
+                    };
+                    queue.push(((a, slot), class));
+                }
             }
-        }
-    }
-    report
+        },
+    );
+    report.gpr = parts
+        .iter()
+        .flat_map(|(_, g, _, _)| g.iter().copied())
+        .collect();
+    report.queue = parts
+        .iter()
+        .flat_map(|(_, _, q, _)| q.iter().copied())
+        .collect();
+    let kept = parts.into_iter().flat_map(|(_, _, _, k)| k).collect();
+    (report, kept)
 }
 
 /// Per-address: can execution starting here reach any `jmp`/`bz` (all of
@@ -380,6 +428,7 @@ fn reaches_check(program: &Program, cfg: &Cfg) -> Vec<bool> {
 }
 
 /// Shared immutable inputs of a taint run.
+#[derive(Clone, Copy)]
 pub(crate) struct Ctx<'a> {
     /// The program under analysis.
     pub program: &'a Program,
@@ -389,15 +438,6 @@ pub(crate) struct Ctx<'a> {
     pub pessimistic: &'a [bool],
 }
 
-/// What a lane run should additionally record.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Record {
-    /// Collect per-side dual-compare [`Touch`]es.
-    pub touches: bool,
-    /// Keep the full entry-state reach map.
-    pub reach: bool,
-}
-
 /// Result of propagating `L` lane-seeded taints to a fixpoint.
 pub(crate) struct LaneRun<const L: usize> {
     /// Set when the union taint defeats a compare (or escapes).
@@ -405,78 +445,132 @@ pub(crate) struct LaneRun<const L: usize> {
     /// A tainted value flowed into some dual-compare or guard: a dynamic
     /// instance may fault there.
     pub checked: bool,
-    /// Dual-compare touches (when [`Record::touches`]; deduplicated).
+    /// Per-side dual-compare touches (when recording; sorted and
+    /// deduplicated).
     pub touches: Vec<Touch>,
-    /// May-taint at *entry* to each address with any surviving taint,
-    /// sorted by address (when [`Record::reach`]; partial if the run
+    /// May-taint at *entry* to each address with any surviving taint, as
+    /// maximal runs `(first, last, taints)` of consecutive addresses with
+    /// equal taints, sorted by address (when recording; partial if the run
     /// aborted vulnerable).
-    pub reach: Vec<(i64, [Taint; L])>,
+    pub reach: Vec<(i64, i64, [Taint; L])>,
 }
 
-/// Propagate `L` independently-seeded taints in lockstep to a fixpoint.
+/// Reusable per-worker buffers of [`run_lanes`]: the per-address state,
+/// the worklist, and the addresses a run wrote (to reset them after).
+pub(crate) struct Scratch<const L: usize> {
+    state: Vec<Option<[Taint; L]>>,
+    work: Vec<i64>,
+    written: Vec<i64>,
+}
+
+impl<const L: usize> Scratch<L> {
+    pub(crate) fn new(n: usize) -> Self {
+        Scratch {
+            state: vec![None; n],
+            work: Vec::new(),
+            written: Vec::new(),
+        }
+    }
+}
+
+/// Propagate `L` independently-seeded taints in lockstep to a fixpoint;
+/// with `record`, also collect the run's touches and reach.
 pub(crate) fn run_lanes<const L: usize>(
     cx: &Ctx,
+    scratch: &mut Scratch<L>,
     at: i64,
     seed: [Taint; L],
-    record: Record,
+    record: bool,
 ) -> LaneRun<L> {
-    let mut state: Vec<Option<[Taint; L]>> = vec![None; cx.cfg.n];
+    let Scratch {
+        state,
+        work,
+        written,
+    } = scratch;
     state[ix(at)] = Some(seed);
-    let mut work = vec![at];
+    written.push(at);
+    work.push(at);
     let mut probe = Probe {
         checked: false,
-        record_touches: record.touches,
-        touches: BTreeSet::new(),
+        record,
+        touches: Vec::new(),
     };
     let mut vuln = None;
     while let Some(a) = work.pop() {
         let t = state[ix(a)].expect("worklist entries have state");
-        match transfer(cx, a, &t, &mut probe) {
+        let edges = match transfer(cx, a, &t, &mut probe) {
+            Ok(edges) => edges,
             Err(v) => {
                 vuln = Some(v);
                 break;
             }
-            Ok(edges) => {
-                for (s, ts) in edges {
-                    if !union(&ts).any() {
-                        continue;
-                    }
-                    let merged = match state[ix(s)] {
-                        None => ts,
-                        Some(cur) => {
-                            let mut m = cur;
-                            for l in 0..L {
-                                m[l] = m[l].join(ts[l]);
-                            }
-                            m
-                        }
-                    };
-                    if state[ix(s)] != Some(merged) {
-                        state[ix(s)] = Some(merged);
-                        work.push(s);
-                    }
+        };
+        for (s, ts) in edges {
+            if !union(&ts).any() {
+                continue;
+            }
+            let merged = match state[ix(s)] {
+                None => {
+                    written.push(s);
+                    ts
                 }
+                Some(cur) => {
+                    let mut m = cur;
+                    for l in 0..L {
+                        m[l] = m[l].join(ts[l]);
+                    }
+                    m
+                }
+            };
+            if state[ix(s)] != Some(merged) {
+                state[ix(s)] = Some(merged);
+                work.push(s);
             }
         }
     }
-    let reach = if record.reach {
-        (1..=cx.cfg.n as i64)
-            .filter_map(|a| state[ix(a)].map(|t| (a, t)))
-            .collect()
+    work.clear();
+    let reach = if record {
+        runs(written, state)
     } else {
         Vec::new()
     };
+    for a in written.drain(..) {
+        state[ix(a)] = None;
+    }
+    probe.touches.sort_unstable();
+    probe.touches.dedup();
     LaneRun {
         vuln,
         checked: probe.checked,
-        touches: probe.touches.into_iter().collect(),
+        touches: probe.touches,
         reach,
     }
 }
 
-/// Propagate one seeded taint to a fixpoint; classify the cell.
-fn run_seed(cx: &Ctx, at: i64, seed: Taint) -> ZapClass {
-    let run = run_lanes::<1>(cx, at, [seed], Record::default());
+/// The states at `written` as maximal runs of consecutive addresses with
+/// equal taints, sorted by address (the buffer is sized exactly: a
+/// summary keeps it).
+fn runs<const L: usize>(
+    written: &mut [i64],
+    state: &[Option<[Taint; L]>],
+) -> Vec<(i64, i64, [Taint; L])> {
+    // Propagation mostly runs forward, so `written` is nearly sorted.
+    written.sort();
+    let at = |a: i64| state[ix(a)].expect("written entries have state");
+    let starts = |w: &[i64]| w[0] + 1 != w[1] || at(w[0]) != at(w[1]);
+    let count = written.len().min(1) + written.windows(2).filter(|w| starts(w)).count();
+    let mut runs: Vec<(i64, i64, [Taint; L])> = Vec::with_capacity(count);
+    for &a in written.iter() {
+        match runs.last_mut() {
+            Some((_, last, t)) if *last + 1 == a && *t == at(a) => *last = a,
+            _ => runs.push((a, a, at(a))),
+        }
+    }
+    runs
+}
+
+/// The class of a cell from its seeded run.
+fn class_of(run: &LaneRun<1>) -> ZapClass {
     if run.vuln.is_some() {
         ZapClass::Vulnerable
     } else if run.checked {
@@ -490,15 +584,15 @@ fn run_seed(cx: &Ctx, at: i64, seed: Taint) -> ZapClass {
 /// the dual-compare touch set.
 struct Probe {
     checked: bool,
-    record_touches: bool,
-    touches: BTreeSet<Touch>,
+    record: bool,
+    touches: Vec<Touch>,
 }
 
 impl Probe {
     fn touch(&mut self, at: i64, side: Side) {
         self.checked = true;
-        if self.record_touches {
-            self.touches.insert(Touch { at, side });
+        if self.record {
+            self.touches.push(Touch { at, side });
         }
     }
 }
@@ -518,6 +612,37 @@ fn lanes<const L: usize>(t: &[Taint; L], f: impl Fn(&Taint) -> bool) -> u8 {
     m
 }
 
+/// The successor states of one transfer: at most a fall-through and a
+/// blue target, kept inline so the propagation loop allocates nothing per
+/// step.
+struct Edges<const L: usize> {
+    edges: [(i64, [Taint; L]); 2],
+    len: usize,
+}
+
+impl<const L: usize> Edges<L> {
+    fn none() -> Self {
+        Edges {
+            edges: [(0, [Taint::default(); L]); 2],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, to: i64, t: [Taint; L]) {
+        self.edges[self.len] = (to, t);
+        self.len += 1;
+    }
+}
+
+impl<const L: usize> IntoIterator for Edges<L> {
+    type Item = (i64, [Taint; L]);
+    type IntoIter = std::iter::Take<std::array::IntoIter<(i64, [Taint; L]), 2>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.edges.into_iter().take(self.len)
+    }
+}
+
 /// One instruction's taint transfer over `L` lanes. Dataflow is linear in
 /// the taint, so lane states update independently; every compare check is
 /// taken over the lane **union** (a dynamic state carries all seeded
@@ -529,30 +654,32 @@ fn transfer<const L: usize>(
     a: i64,
     t: &[Taint; L],
     probe: &mut Probe,
-) -> Result<Vec<(i64, [Taint; L])>, Vuln> {
+) -> Result<Edges<L>, Vuln> {
     let program = cx.program;
-    let fall = |t: [Taint; L]| -> Vec<(i64, [Taint; L])> {
+    let fall = |edges: &mut Edges<L>, t: [Taint; L]| {
         if program.is_code_addr(a + 1) {
-            vec![(a + 1, t)]
-        } else {
-            Vec::new()
+            edges.push(a + 1, t);
         }
     };
     // Follow a committed blue transfer; with an unresolved target the
     // analysis cannot continue — surviving taint means "anything may
     // happen", so bail.
-    let goto_blue = |out: [Taint; L]| -> Result<Vec<(i64, [Taint; L])>, Vuln> {
+    let goto_blue = |edges: &mut Edges<L>, out: [Taint; L]| -> Result<(), Vuln> {
         match cx.cfg.blue_target[ix(a)] {
-            Some(tgt) if program.is_code_addr(tgt) => Ok(vec![(tgt, out)]),
+            Some(tgt) if program.is_code_addr(tgt) => {
+                edges.push(tgt, out);
+                Ok(())
+            }
             _ if union(&out).any() => Err(Vuln {
                 at: a,
                 kind: VulnKind::UnresolvedTarget,
                 green: lanes(&out, |l| l.any()),
                 blue: 0,
             }),
-            _ => Ok(Vec::new()),
+            _ => Ok(()),
         }
     };
+    let mut edges = Edges::none();
     let u = union(t);
     match program.instrs[ix(a)] {
         Instr::Op { rd, rs, src2, .. } => {
@@ -565,14 +692,16 @@ fn transfer<const L: usize>(
                     };
                 l.set(rd, taint);
             }
-            Ok(fall(o))
+            fall(&mut edges, o);
+            Ok(edges)
         }
         Instr::Mov { rd, .. } => {
             let mut o = *t;
             for l in o.iter_mut() {
                 l.clear(rd);
             }
-            Ok(fall(o))
+            fall(&mut edges, o);
+            Ok(edges)
         }
         Instr::Ld {
             color: Color::Green,
@@ -584,7 +713,8 @@ fn transfer<const L: usize>(
             for l in o.iter_mut() {
                 l.set(rd, l.tr(rs) || l.queue != 0);
             }
-            Ok(fall(o))
+            fall(&mut edges, o);
+            Ok(edges)
         }
         Instr::Ld {
             color: Color::Blue,
@@ -595,7 +725,8 @@ fn transfer<const L: usize>(
             for l in o.iter_mut() {
                 l.set(rd, l.tr(rs));
             }
-            Ok(fall(o))
+            fall(&mut edges, o);
+            Ok(edges)
         }
         Instr::St {
             color: Color::Green,
@@ -624,7 +755,8 @@ fn transfer<const L: usize>(
                     }
                 }
             }
-            Ok(fall(o))
+            fall(&mut edges, o);
+            Ok(edges)
         }
         Instr::St {
             color: Color::Blue,
@@ -655,7 +787,8 @@ fn transfer<const L: usize>(
                 l.clear(rd);
                 l.clear(rs);
             }
-            Ok(fall(o))
+            fall(&mut edges, o);
+            Ok(edges)
         }
         Instr::Jmp {
             color: Color::Green,
@@ -669,7 +802,8 @@ fn transfer<const L: usize>(
             for l in o.iter_mut() {
                 l.d = l.tr(rd);
             }
-            Ok(fall(o))
+            fall(&mut edges, o);
+            Ok(edges)
         }
         Instr::Jmp {
             color: Color::Blue,
@@ -696,7 +830,8 @@ fn transfer<const L: usize>(
                 l.d = false;
                 l.clear(rd);
             }
-            goto_blue(o)
+            goto_blue(&mut edges, o)?;
+            Ok(edges)
         }
         Instr::Bz {
             color: Color::Green,
@@ -714,7 +849,8 @@ fn transfer<const L: usize>(
                 // from golden.
                 l.d = l.tr(rz) || l.tr(rd);
             }
-            Ok(fall(o))
+            fall(&mut edges, o);
+            Ok(edges)
         }
         Instr::Bz {
             color: Color::Blue,
@@ -753,11 +889,11 @@ fn transfer<const L: usize>(
                 l.clear(rz);
                 l.clear(rd);
             }
-            let mut edges = fall(untaken);
-            edges.extend(goto_blue(taken)?);
+            fall(&mut edges, untaken);
+            goto_blue(&mut edges, taken)?;
             Ok(edges)
         }
-        Instr::Halt => Ok(Vec::new()),
+        Instr::Halt => Ok(edges),
     }
 }
 

@@ -21,7 +21,9 @@
 //!                     boundary outside the single-upset model — SDC there
 //!                     is reported but is not a Theorem 4 violation)
 //!   --seed=N          sampler seed for K>=2 campaigns
-//!   --threads=N       campaign worker threads (default 1)
+//!   --threads=N       worker threads for campaigns and for the static
+//!                     analyzers behind --zap-report (default: available
+//!                     parallelism); reports are the same at every count
 //!   --shards=N        split the campaign grid into N deterministic shards
 //!                     (run through the checkpoint/merge layer; the merged
 //!                     report is bit-identical to a whole-grid run)
@@ -83,7 +85,7 @@ use std::sync::Arc;
 use talft_compiler::{compile, CompileOptions};
 use talft_core::check_program;
 use talft_faultsim::{
-    golden_run_retrying, grid_fingerprint, merge_shard_reports, multi_fault_plans,
+    default_threads, golden_run_retrying, grid_fingerprint, merge_shard_reports, multi_fault_plans,
     run_multi_campaign, run_shard_campaign, CampaignConfig, CampaignReport, GoldenError,
     ShardControl, ShardOutcome, ShardPart, ShardSpec,
 };
@@ -318,7 +320,8 @@ fn real_main(path: &str, flags: &Flags) -> ExitCode {
         }
     }
     if let Some(out) = &flags.zap_report {
-        if let Err(e) = write_zap_report(out, path, &program) {
+        let threads = flags.threads.map_or_else(default_threads, |t| t.max(1));
+        if let Err(e) = write_zap_report(out, path, &program, threads) {
             eprintln!("talftc: {e}");
             return ExitCode::FAILURE;
         }
@@ -653,10 +656,16 @@ fn load_part(
 }
 
 /// `--zap-report=PATH`: dump the per-cell k=1 classification and the
-/// compositional k=2 pair summary as a `talft.zap.v1` document.
-fn write_zap_report(out: &str, input: &str, program: &Arc<Program>) -> Result<(), String> {
+/// compositional k=2 pair summary, analyzed on `threads` workers, as a
+/// `talft.zap.v1` document.
+fn write_zap_report(
+    out: &str,
+    input: &str,
+    program: &Arc<Program>,
+    threads: usize,
+) -> Result<(), String> {
     use talft_obs::Json;
-    let mut analyzer = talft_analysis::PairAnalyzer::new(program);
+    let mut analyzer = talft_analysis::PairAnalyzer::with_threads(program, threads);
     let pairs = analyzer.pair_report();
     let zap = analyzer.k1();
     let cell = |kind: &str, addr: i64, index: Option<u64>, class: &talft_analysis::ZapClass| {

@@ -185,6 +185,43 @@ fn zap_report_writes_k1_cells_and_k2_pair_summary() {
 }
 
 #[test]
+fn zap_report_is_identical_at_every_thread_count() {
+    // A suite kernel, so the pair report has many candidate rows to split.
+    let k = &kernels(Scale::Tiny)[0];
+    let p = write_temp("zap-threads.wile", &k.source);
+    let report = |threads: usize| {
+        let path =
+            std::env::temp_dir().join(format!("talftc-zap-{}-t{threads}.json", std::process::id()));
+        let out = talftc(&[
+            p.to_str().unwrap(),
+            &format!("--zap-report={}", path.display()),
+            &format!("--threads={threads}"),
+        ]);
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let text = std::fs::read(&path).expect("zap report written");
+        std::fs::remove_file(&path).ok();
+        text
+    };
+    let serial = report(1);
+    let json = talft_obs::Json::parse(&String::from_utf8_lossy(&serial)).expect("valid JSON");
+    let witnesses = json
+        .get("k2")
+        .and_then(|k2| k2.get("witnesses"))
+        .and_then(talft_obs::Json::as_array)
+        .expect("witness array");
+    assert!(
+        !witnesses.is_empty(),
+        "{}: the kernel must have witnessed compares",
+        k.name
+    );
+    assert!(
+        serial == report(4),
+        "{}: --threads=1 vs --threads=4",
+        k.name
+    );
+}
+
+#[test]
 fn lint_is_quiet_on_protected_output() {
     let p = write_temp("ok-lint.wile", OK_WILE);
     let out = talftc(&[p.to_str().unwrap(), "--lint"]);

@@ -248,13 +248,21 @@ pub struct CampaignConfig {
     pub batch: bool,
 }
 
+/// Worker threads when the caller names none: the host's available
+/// parallelism (4 when it cannot be read). Campaigns and the static
+/// analyzers in `talft-analysis` share this default.
+#[must_use]
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism().map_or(4, |n| n.get())
+}
+
 impl Default for CampaignConfig {
     fn default() -> Self {
         Self {
             max_steps: 2_000_000,
             mutations_per_site: 3,
             stride: 1,
-            threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+            threads: default_threads(),
             oob: OobLoadPolicy::Value(0x6EAD_BEEF),
             seed: 0x7A1F_F00D,
             pair_samples: 4096,
