@@ -92,13 +92,13 @@ pub fn cross_validate(report: &ZapReport, grid: &FaultGrid) -> DiffSummary {
         ..DiffSummary::default()
     };
     for o in &grid.outcomes {
-        if o.at_step >= grid.golden_steps {
+        if o.at_step >= grid.trace.golden_steps {
             // The machine has already halted; the strike has no cell.
             s.skipped_final += 1;
             continue;
         }
-        let addr = grid.pc_by_step[o.at_step as usize];
-        let queue_len = grid.queue_len_by_step[o.at_step as usize];
+        let addr = grid.trace.pc_by_step[o.at_step as usize];
+        let queue_len = grid.trace.queue_len_by_step[o.at_step as usize];
         let class = classify(report, addr, o, queue_len);
         match class {
             Some(c) => {

@@ -102,23 +102,26 @@
 //!
 //! **Verdict exactness is the contract**: the report — counts, retained
 //! violations, latency histogram, incomplete-plan accounting — is
-//! bit-identical to [`run_plan_campaign_scalar`] and to
+//! bit-identical to
+//! [`run_plan_campaign_scalar`](crate::run_plan_campaign_scalar) and to
 //! [`run_plan_campaign_reference`](crate::run_plan_campaign_reference) at
-//! every thread count, and the batched-differential test layer
+//! every thread count, and so is each plan's own `(verdict, applied)` pair
+//! ([`plan_verdicts`](crate::plan_verdicts), which the grids are built
+//! from). The batched-differential test layer
 //! (`tests/batch_differential.rs`, `tests/batch_demotion.rs`) re-proves it
 //! per release rather than assuming it.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use talft_isa::{CVal, Color, Gpr, Instr, OpSrc, Program, Reg};
 use talft_machine::{step, FaultSite, Machine, OobLoadPolicy, Status};
 use talft_obs::{LazyCounter, LazyHistogram};
 
 use crate::{
-    advance_frontier, lead_injection, note_verdicts, resume_plan, run_isolated,
-    run_plan_campaign_scalar, verdict_slot, CampaignConfig, CampaignReport, FaultPlan, Golden,
-    Injection, Verdict, CAMPAIGN_NS, PLANS, WORKER_RATE,
+    advance_frontier, lead_injection, lock_sink, note_verdicts, resume_plan, run_isolated,
+    run_plan_campaign_scheduled, verdict_slot, CampaignConfig, CampaignReport, FaultPlan, Golden,
+    Injection, PlanVerdict, Verdict, CAMPAIGN_NS, PLANS, WORKER_RATE,
 };
 
 static BATCH_LANES: LazyCounter = LazyCounter::new("faultsim.batch.lanes");
@@ -238,13 +241,14 @@ fn admissible(plan: &FaultPlan, golden: &Golden, num_gprs: u16) -> bool {
 }
 
 /// The bit-parallel batched campaign engine. Same contract as
-/// [`run_plan_campaign_scalar`] — bit-identical reports at every thread
-/// count — at a fraction of the simulated steps: faults on packed sites
-/// (GPRs, `d`, queue values; any strike count) ride one shared golden
-/// replay per worker as packed shadow deltas, classifying at their heal,
-/// blue-compare, or liveness-settle point, and only lanes whose divergence
-/// escapes the packed components pay for a scalar continuation. Gated
-/// configs delegate to the scalar engine.
+/// [`run_plan_campaign_scalar`](crate::run_plan_campaign_scalar) —
+/// bit-identical reports at every thread count — at a fraction of the
+/// simulated steps: faults on packed sites (GPRs, `d`, queue values; any
+/// strike count) ride one shared golden replay per worker as packed shadow
+/// deltas, classifying at their heal, blue-compare, or liveness-settle
+/// point, and only lanes whose divergence escapes the packed components
+/// pay for a scalar continuation. Gated configs delegate to the scalar
+/// engine.
 #[must_use]
 pub fn run_plan_campaign_batched(
     program: &Arc<Program>,
@@ -252,12 +256,27 @@ pub fn run_plan_campaign_batched(
     golden: &Golden,
     plans: &[FaultPlan],
 ) -> CampaignReport {
+    run_batched(program, cfg, golden, plans, None)
+}
+
+/// [`run_plan_campaign_batched`] with an optional per-plan sink (one slot
+/// per plan, ungated runs only): each plan's `(verdict, applied)` lands at
+/// its caller index, whichever path — lane, demoted continuation, or
+/// scalar route — classified it.
+pub(crate) fn run_batched(
+    program: &Arc<Program>,
+    cfg: &CampaignConfig,
+    golden: &Golden,
+    plans: &[FaultPlan],
+    sink: Option<&mut [PlanVerdict]>,
+) -> CampaignReport {
     if cfg.stop_on_first_violation
         || golden.status != Status::Halted
         || golden.reg_liveness.is_empty()
     {
-        return run_plan_campaign_scalar(program, cfg, golden, plans);
+        return run_plan_campaign_scheduled(program, cfg, golden, plans, None, sink);
     }
+    let sink = sink.map(Mutex::new);
     let _span = CAMPAIGN_NS.span();
     let num_gprs = program.num_gprs;
     let mut order: Vec<usize> = (0..plans.len()).collect();
@@ -276,6 +295,7 @@ pub fn run_plan_campaign_batched(
         for _ in 0..threads {
             let order = &order;
             let cursor = &cursor;
+            let sink = sink.as_ref();
             handles.push(scope.spawn(move || {
                 let mut counts = CampaignReport::default();
                 let mut viols: Vec<(usize, Injection)> = Vec::new();
@@ -363,6 +383,7 @@ pub fn run_plan_campaign_batched(
                             applied,
                         });
                     }
+                    let mut slots = sink.map(lock_sink);
                     for o in outcomes.drain(..) {
                         let plan = &plans[o.idx];
                         executed += 1;
@@ -378,6 +399,9 @@ pub fn run_plan_campaign_batched(
                         counts.absorb_counts(o.verdict);
                         if o.verdict.is_violation() {
                             viols.push((o.pos, lead_injection(plan, o.verdict)));
+                        }
+                        if let Some(slots) = slots.as_mut() {
+                            slots[o.idx] = (o.verdict, o.applied);
                         }
                     }
                 }

@@ -25,6 +25,8 @@
 //! space ([`multi_fault_plans`]), where Theorem 4 makes **no promise** —
 //! its SDC counts quantify the boundary of the single-event-upset model
 //! rather than falsify the theorem ([`CampaignReport::within_fault_model`]).
+//! [`plan_verdicts`] keeps each plan's own `(verdict, applied)` instead of
+//! summing it into a report; the injection [`grid`]s are built from it.
 //!
 //! The runtime is hardened for long campaigns: each injection runs under
 //! `catch_unwind` so a harness panic becomes a recorded
@@ -71,7 +73,7 @@ pub use shard::{
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use talft_isa::Program;
 use talft_machine::{
@@ -744,6 +746,77 @@ fn lead_injection(plan: &FaultPlan, verdict: Verdict) -> Injection {
     }
 }
 
+/// One plan's per-plan result as the grids record it: the verdict and the
+/// number of strikes actually injected before the run ended.
+pub type PlanVerdict = (Verdict, usize);
+
+/// A per-plan sink shared by an engine's workers: one slot per plan, at
+/// the plan's index in the caller's slice. Workers write their results
+/// straight into it; slots no worker wrote keep their initial value.
+type Sink<'a> = Mutex<&'a mut [PlanVerdict]>;
+
+/// Lock a sink for writing. A worker that panicked while holding the lock
+/// leaves only whole slot writes behind, so poisoning is ignored.
+fn lock_sink<'s, 'a>(sink: &'s Sink<'a>) -> MutexGuard<'s, &'a mut [PlanVerdict]> {
+    sink.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The campaign engine that classifies the plans of [`plan_verdicts`].
+/// Every engine yields the same per-plan vector (the batched-differential
+/// tests hold them to it); the choice is a matter of speed and of which
+/// implementation a test wants as its oracle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Engine {
+    /// The engine [`run_plan_campaign`] picks: the batched engine, which
+    /// itself falls back to the scalar one when the golden run did not
+    /// halt or has no register liveness; the scalar engine outright when
+    /// [`CampaignConfig::batch`] is off.
+    Auto,
+    /// The checkpointed work-stealing scalar engine
+    /// ([`run_plan_campaign_scalar`]).
+    Scalar,
+    /// The frozen pre-checkpoint engine
+    /// ([`run_plan_campaign_reference`]).
+    Reference,
+}
+
+/// Classify every plan on `engine` and return its `(verdict, applied)`
+/// pair, in the caller's plan order — the per-plan view that
+/// [`CampaignReport`] sums away, and what the grids are built from.
+///
+/// The run is always ungated: [`CampaignConfig::stop_on_first_violation`]
+/// is ignored, so every plan gets a verdict. It uses `cfg.threads` workers.
+/// A harness panic is isolated per plan (`run_isolated` with
+/// `cfg.retry`) and recorded as [`Verdict::EngineError`] with 0 strikes
+/// applied; so are the plans of a worker lost outside that isolation.
+#[must_use]
+pub fn plan_verdicts(
+    program: &Arc<Program>,
+    cfg: &CampaignConfig,
+    golden: &Golden,
+    plans: &[FaultPlan],
+    engine: Engine,
+) -> Vec<PlanVerdict> {
+    let cfg = CampaignConfig {
+        stop_on_first_violation: false,
+        ..cfg.clone()
+    };
+    let mut verdicts = vec![(Verdict::EngineError, 0); plans.len()];
+    let sink = Some(verdicts.as_mut_slice());
+    match engine {
+        Engine::Auto if cfg.batch => {
+            batch::run_batched(program, &cfg, golden, plans, sink);
+        }
+        Engine::Auto | Engine::Scalar => {
+            run_plan_campaign_scheduled(program, &cfg, golden, plans, None, sink);
+        }
+        Engine::Reference => {
+            run_reference(program, &cfg, golden, plans, sink);
+        }
+    }
+    verdicts
+}
+
 /// One classified continuation tagged with its position in the sorted plan
 /// order, so gated (`stop_on_first_violation`) campaigns can be reassembled
 /// in deterministic sequential order regardless of which worker ran what.
@@ -840,7 +913,7 @@ pub fn run_plan_campaign_scalar(
     golden: &Golden,
     plans: &[FaultPlan],
 ) -> CampaignReport {
-    run_plan_campaign_scheduled(program, cfg, golden, plans, None)
+    run_plan_campaign_scheduled(program, cfg, golden, plans, None, None)
 }
 
 /// Run the k≥2 plan set with **static-guided prioritization**: plans the
@@ -872,19 +945,23 @@ pub fn run_plan_campaign_guided(
     // Schedule: hot positions first, canonical order within each half.
     let mut schedule: Vec<usize> = (0..plans.len()).collect();
     schedule.sort_by_key(|&pos| !hot[order[pos]]);
-    run_plan_campaign_scheduled(program, cfg, golden, plans, Some(&schedule))
+    run_plan_campaign_scheduled(program, cfg, golden, plans, Some(&schedule), None)
 }
 
 /// The scalar engine with an optional **claim schedule**: a permutation of
 /// canonical positions dictating the order workers pick plans up. `None`
 /// means canonical order. The schedule never appears in the report — see
 /// [`run_plan_campaign_guided`] for the neutrality argument.
+///
+/// With a per-plan `sink` (one slot per plan, ungated runs only) each
+/// plan's `(verdict, applied)` lands at its caller index.
 fn run_plan_campaign_scheduled(
     program: &Arc<Program>,
     cfg: &CampaignConfig,
     golden: &Golden,
     plans: &[FaultPlan],
     schedule: Option<&[usize]>,
+    sink: Option<&mut [PlanVerdict]>,
 ) -> CampaignReport {
     let _span = CAMPAIGN_NS.span();
     let mut order: Vec<usize> = (0..plans.len()).collect();
@@ -892,6 +969,8 @@ fn run_plan_campaign_scheduled(
     let order = order; // frozen: positions in this order are the report order
     let threads = cfg.threads.max(1).min(plans.len().max(1));
     let gated = cfg.stop_on_first_violation;
+    debug_assert!(!(gated && sink.is_some()), "per-plan sinks run ungated");
+    let sink = sink.map(Mutex::new);
     let cursor = AtomicUsize::new(0);
     // Position of the earliest known violation (gated mode only);
     // `u64::MAX` = none found yet. `fetch_min` keeps it exact under races.
@@ -909,6 +988,7 @@ fn run_plan_campaign_scheduled(
             let order = &order;
             let cursor = &cursor;
             let stop_pos = &stop_pos;
+            let sink = sink.as_ref();
             handles.push(scope.spawn(move || {
                 let mut counts = CampaignReport::default();
                 let mut viols: Vec<(usize, Injection)> = Vec::new();
@@ -932,7 +1012,8 @@ fn run_plan_campaign_scheduled(
                         if gated && pos as u64 > stop_pos.load(Ordering::Relaxed) {
                             continue;
                         }
-                        let plan = &plans[order[pos]];
+                        let idx = order[pos];
+                        let plan = &plans[idx];
                         let first = plan.first_step();
                         advance_frontier(&mut frontier, first, program, cfg, golden);
                         let fr = frontier.as_ref().expect("advance_frontier populates");
@@ -973,6 +1054,9 @@ fn run_plan_campaign_scheduled(
                             counts.absorb_counts(verdict);
                             if verdict.is_violation() {
                                 viols.push((pos, lead_injection(plan, verdict)));
+                            }
+                            if let Some(sink) = sink {
+                                lock_sink(sink)[idx] = (verdict, applied);
                             }
                         }
                     }
@@ -1054,6 +1138,19 @@ pub fn run_plan_campaign_reference(
     golden: &Golden,
     plans: &[FaultPlan],
 ) -> CampaignReport {
+    run_reference(program, cfg, golden, plans, None)
+}
+
+/// [`run_plan_campaign_reference`] with an optional per-plan sink (one
+/// slot per plan, caller order).
+fn run_reference(
+    program: &Arc<Program>,
+    cfg: &CampaignConfig,
+    golden: &Golden,
+    plans: &[FaultPlan],
+    sink: Option<&mut [PlanVerdict]>,
+) -> CampaignReport {
+    let sink = sink.map(Mutex::new);
     let mut order: Vec<usize> = (0..plans.len()).collect();
     order.sort_by_key(|&i| plans[i].first_step());
     let threads = cfg.threads.max(1).min(plans.len().max(1));
@@ -1073,6 +1170,7 @@ pub fn run_plan_campaign_reference(
             }
             let idxs = &order[lo..hi];
             let stop = &stop;
+            let sink = sink.as_ref();
             handles.push(scope.spawn(move || {
                 let mut rep = CampaignReport::default();
                 let mut frontier = Machine::boot(Arc::clone(program)).with_oob_policy(cfg.oob);
@@ -1100,6 +1198,9 @@ pub fn run_plan_campaign_reference(
                         rep.incomplete_plans += 1;
                     }
                     rep.absorb(lead_injection(plan, verdict));
+                    if let Some(sink) = sink {
+                        lock_sink(sink)[i] = (verdict, applied);
+                    }
                     if cfg.stop_on_first_violation && verdict.is_violation() {
                         stop.store(true, Ordering::Relaxed);
                     }

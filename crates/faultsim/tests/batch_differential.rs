@@ -2,18 +2,20 @@
 //! protected *and* unprotected baseline, so every verdict class is on the
 //! table — the bit-parallel batched engine, the scalar work-stealing
 //! engine, and the pre-checkpoint reference engine must produce
-//! **bit-identical** [`CampaignReport`]s at threads ∈ {1, 3, 8}. This is
-//! the "re-prove the guarantee per execution path" layer the batched
-//! engine ships with (ISSUE 7): verdict-exactness is a tested theorem,
-//! not a benchmark footnote. Failures shrink to a minimal Wile witness.
+//! **bit-identical** [`CampaignReport`]s at threads ∈ {1, 3, 8}, and
+//! bit-identical per-plan `(verdict, applied)` vectors in the caller's plan
+//! order ([`plan_verdicts`], what the injection grids are built from).
+//! This is the "re-prove the guarantee per execution path" layer the
+//! batched engine ships with: verdict-exactness is a tested theorem, not
+//! a benchmark footnote. Failures shrink to a minimal Wile witness.
 
 use std::sync::Arc;
 
 use talft_compiler::{compile, CompileOptions};
 use talft_faultsim::{
-    golden_run, multi_fault_plans, run_plan_campaign, run_plan_campaign_batched,
+    golden_run, multi_fault_plans, plan_verdicts, run_plan_campaign, run_plan_campaign_batched,
     run_plan_campaign_reference, run_plan_campaign_scalar, single_fault_plans, CampaignConfig,
-    CampaignReport, FaultPlan,
+    CampaignReport, Engine, FaultPlan, PlanVerdict, Verdict,
 };
 use talft_isa::Program;
 use talft_testutil::wile::{random_stmts, render_program, shrink_candidates, StmtR};
@@ -29,13 +31,16 @@ fn base_cfg() -> CampaignConfig {
 }
 
 /// Run one plan set through all three engines at every thread count and
-/// demand bit-identical reports. Returns the agreed report.
+/// demand bit-identical reports and per-plan vectors. Returns the agreed
+/// report and per-plan vector.
 fn three_way(
     program: &Arc<Program>,
     plans: &[FaultPlan],
     golden: &talft_faultsim::Golden,
-) -> Result<CampaignReport, String> {
+) -> Result<(CampaignReport, Vec<PlanVerdict>), String> {
     let reference = run_plan_campaign_reference(program, &base_cfg(), golden, plans);
+    let per_plan = plan_verdicts(program, &base_cfg(), golden, plans, Engine::Reference);
+    sums_to_report(plans, &per_plan, &reference)?;
     for threads in [1usize, 3, 8] {
         let cfg = CampaignConfig {
             threads,
@@ -62,8 +67,66 @@ fn three_way(
                 "dispatcher (threads={threads}, batch=true) diverged from reference"
             ));
         }
+        for engine in [Engine::Reference, Engine::Scalar, Engine::Auto] {
+            let got = plan_verdicts(program, &cfg, golden, plans, engine);
+            if let Some(i) = (0..plans.len()).find(|&i| got[i] != per_plan[i]) {
+                return Err(format!(
+                    "{engine:?} engine (threads={threads}) per-plan verdict diverged \
+                     from reference at plan {i} {:?}: {:?} vs {:?}",
+                    plans[i], got[i], per_plan[i]
+                ));
+            }
+        }
     }
-    Ok(reference)
+    // Caller order, not engine order: reversing the plans reverses the
+    // per-plan vector.
+    let reversed: Vec<FaultPlan> = plans.iter().rev().cloned().collect();
+    let cfg = CampaignConfig {
+        threads: 3,
+        ..base_cfg()
+    };
+    let mut back = plan_verdicts(program, &cfg, golden, &reversed, Engine::Auto);
+    back.reverse();
+    if back != per_plan {
+        return Err("per-plan verdicts do not follow the caller's plan order".into());
+    }
+    Ok((reference, per_plan))
+}
+
+/// The per-plan vector must add up to the report it was taken beside.
+fn sums_to_report(
+    plans: &[FaultPlan],
+    per_plan: &[PlanVerdict],
+    report: &CampaignReport,
+) -> Result<(), String> {
+    let count = |v: Verdict| per_plan.iter().filter(|p| p.0 == v).count() as u64;
+    let incomplete = plans
+        .iter()
+        .zip(per_plan)
+        .filter(|(plan, (v, applied))| *v != Verdict::EngineError && *applied < plan.order())
+        .count() as u64;
+    let sums = (
+        per_plan.len() as u64,
+        count(Verdict::Masked),
+        count(Verdict::Detected),
+        count(Verdict::Sdc),
+        count(Verdict::EngineError),
+        incomplete,
+    );
+    let want = (
+        report.total,
+        report.masked,
+        report.detected,
+        report.sdc,
+        report.engine_errors,
+        report.incomplete_plans,
+    );
+    if sums != want {
+        return Err(format!(
+            "per-plan vector sums {sums:?} differ from the report {want:?}"
+        ));
+    }
+    Ok(())
 }
 
 /// The property over one compiled binary: all engines agree on the k=1
@@ -76,7 +139,7 @@ fn engines_agree(program: &Arc<Program>, protected: bool) -> Result<(), String> 
         Err(_) => return Ok(()), // divergent fuzz shape: nothing to campaign
     };
     let plans = single_fault_plans(program, &base_cfg(), &golden);
-    let report = three_way(program, &plans, &golden)?;
+    let (report, _) = three_way(program, &plans, &golden)?;
     if protected && report.sdc != 0 {
         return Err(format!(
             "Theorem 4: protected binary reported SDC: {:?}",
@@ -252,10 +315,14 @@ fn adversarial_plan_shapes_agree_across_engines() {
         ]),
         FaultPlan::single(n, FaultSite::QueueVal(0), -1),
     ];
-    let report = three_way(&p, &plans, &golden).expect("engines agree");
+    let (report, per_plan) = three_way(&p, &plans, &golden).expect("engines agree");
     assert_eq!(report.total, plans.len() as u64);
     assert_eq!(report.engine_errors, 1);
     // The past-termination strike and the queue-value strike on a drained
     // queue both fail to apply.
     assert_eq!(report.incomplete_plans, 2);
+    // Per plan, in the order listed above (not step order).
+    assert_eq!(per_plan[1], (Verdict::Masked, 0), "past termination");
+    assert_eq!(per_plan[3], (Verdict::EngineError, 0), "harness panic");
+    assert_eq!(per_plan[15], (Verdict::Masked, 0), "drained queue");
 }
